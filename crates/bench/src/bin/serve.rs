@@ -84,7 +84,8 @@ fn main() {
     }
 
     // Runs until a client's Shutdown frame stops the scheduler; then the
-    // worker pool drains, the reactor flushes and both threads join.
+    // worker pool drains, every connection flushes its results and
+    // closes, and `join` stops the acceptor.
     let stats = match server.join() {
         Ok(stats) => stats,
         Err(e) => {

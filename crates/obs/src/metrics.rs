@@ -42,7 +42,7 @@ impl std::fmt::Display for Counter {
 
 /// A monotonically increasing counter usable through a shared reference —
 /// the concurrent sibling of [`Counter`] for long-lived services whose
-/// reactor, scheduler and worker threads all bump the same figures
+/// connection, scheduler and worker threads all bump the same figures
 /// (jobs accepted, rejected, results streamed). Relaxed ordering: these
 /// are statistics, not synchronization.
 #[derive(Debug, Default)]

@@ -9,7 +9,7 @@
 //! result draining.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -38,12 +38,14 @@ impl Stream {
         })
     }
 
-    /// Switch blocking mode.
-    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_nonblocking(nb),
-            Stream::Tcp(s) => s.set_nonblocking(nb),
-        }
+    /// Shut both directions: the peer reads EOF, and a thread blocked on
+    /// this socket through any clone returns.
+    pub(crate) fn shutdown(&self) {
+        // An error means the socket is already shut or the peer is gone.
+        let _ = match self {
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+        };
     }
 }
 
@@ -68,16 +70,6 @@ impl Write for Stream {
         match self {
             Stream::Unix(s) => s.flush(),
             Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-#[cfg(unix)]
-impl std::os::fd::AsRawFd for Stream {
-    fn as_raw_fd(&self) -> std::os::fd::RawFd {
-        match self {
-            Stream::Unix(s) => s.as_raw_fd(),
-            Stream::Tcp(s) => s.as_raw_fd(),
         }
     }
 }

@@ -19,14 +19,14 @@
 //!   instead of buffering), queue-wait histograms per priority, and
 //!   per-client cancellation fan-out through a
 //!   [`CancelGroup`](virtclust_sim::CancelGroup);
-//! * [`reactor`] — a hand-rolled epoll reactor (raw syscall bindings on
-//!   Linux, a polling fallback elsewhere) multiplexing the listener,
-//!   every connection and a worker-side wakeup pipe on one thread;
 //! * [`server`] — glues them together:
 //!   [`ServerBuilder`] → [`Server`] →
 //!   [`serve_unix`](Server::serve_unix)/[`serve_tcp`](Server::serve_tcp)
 //!   and in-process [`LocalClient`]s; results stream back to each
-//!   submitter as jobs complete;
+//!   submitter as jobs complete. Sockets use blocking `std` I/O: an
+//!   acceptor thread, and per connection a reader thread that feeds the
+//!   scheduler and a writer thread that drains a bounded outbox the
+//!   workers append to;
 //! * [`client`] — the blocking socket [`Client`] (`loadgen`'s side).
 //!
 //! Determinism carries through end to end: a job's statistics depend
@@ -37,11 +37,10 @@
 //! direct [`EvalDriver::run_resilient`](virtclust_core::EvalDriver::run_resilient)
 //! of the same jobs.
 
-#![deny(unsafe_code)] // allowed back on, explicitly, only in reactor::sys
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod reactor;
 pub mod sched;
 pub mod server;
 pub mod wire;

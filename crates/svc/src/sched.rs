@@ -229,11 +229,6 @@ impl Scheduler {
         drained
     }
 
-    /// Whether [`shutdown`](Scheduler::shutdown) has been called.
-    pub fn is_shutdown(&self) -> bool {
-        self.lock().shutdown
-    }
-
     /// Cancel everything `client` has in the service: the client's token
     /// fires (running jobs stop at the engine's next cooperative check)
     /// and its queued jobs are drained and returned. The token is then
@@ -278,14 +273,6 @@ impl Scheduler {
                 (h.count(), h.percentile(0.5), h.percentile(0.99))
             }),
         }
-    }
-
-    /// Per-priority queue-wait histograms (microseconds).
-    pub fn queue_wait_hists(&self) -> [Log2Hist; 3] {
-        self.wait
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 }
 

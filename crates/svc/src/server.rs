@@ -3,51 +3,77 @@
 //! worker pool ([`EvalDriver::drain_source`]), with per-cell results
 //! streamed back to whoever submitted each job.
 //!
-//! Three kinds of threads cooperate:
+//! Sockets use blocking `std` I/O. These threads cooperate:
 //!
 //! * **workers** — `drain_source` pulls jobs from the scheduler and
-//!   invokes the completion sink from whichever worker finished;
-//! * **the reactor** — one thread multiplexing the listener and every
-//!   connection over the [`reactor`](crate::reactor) poller; worker
-//!   completions reach it through a mailbox plus a wakeup pipe;
+//!   invokes the completion sink from whichever worker finished; a socket
+//!   client's result is appended to its connection's outbox, so a worker
+//!   never writes to or waits on a socket;
+//! * **the acceptor** — blocked in `accept`; it greets each connection
+//!   and starts the connection's two threads;
+//! * **a reader per connection** — `read_frame` → `decode_client` →
+//!   dispatch into the scheduler. It stops taking requests while the
+//!   outbox is full, which pushes back on a client that does not read;
+//! * **a writer per connection** — drains the outbox to the socket;
 //! * **clients' own threads** — [`LocalClient`] submits straight into
 //!   the scheduler and blocks on its private inbox, no sockets involved.
 //!
 //! Result routing is by ticket: the scheduler's global ticket is
 //! [`reserve`](Scheduler::reserve)d and mapped to the submitting client
 //! *before* the job is admitted, so a worker completing the job
-//! instantly can never race the registration.
+//! instantly can never race the registration. The reader holds the
+//! outbox across admission, so a ticket's `Accepted` or `Busy` always
+//! precedes its `Result`.
+//!
+//! Once the pool has drained after a shutdown, every outbox is flushed
+//! and its socket shut down, so clients see EOF on their own;
+//! [`Server::join`] then wakes the acceptor and waits for it and for
+//! every connection thread.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::TcpListener;
-use std::os::fd::AsRawFd;
+use std::io::{self, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle, Scope};
+use std::time::{Duration, Instant};
 
 use virtclust_core::{EvalDriver, EvalJob, JobDone, ResilientOptions};
 use virtclust_sim::SimStats;
+use virtclust_trace::frame::read_frame;
 use virtclust_uarch::MachineConfig;
 
 use crate::client::Stream;
-use crate::reactor::{Interest, Poller};
 use crate::sched::{Drained, SchedConfig, Scheduler};
 use crate::wire::{
-    decode_client, encode_server, recv_preamble, resolve_spec, send_preamble, split_frame,
-    stats_digest, BusyReason, ClientMsg, Priority, ServerMsg, Submit, SvcStats, WireResult,
-    WireStats,
+    decode_client, encode_server, recv_preamble, resolve_spec, send_preamble, stats_digest,
+    BusyReason, ClientMsg, Priority, ServerMsg, Submit, SvcStats, WireResult, WireStats,
 };
 
 /// What a cancelled-before-start job reports as its error.
 pub const CANCELLED_BEFORE_START: &str = "cancelled before start";
 
-const TOK_LISTENER: u64 = 0;
-const TOK_WAKER: u64 = 1;
-/// Client ids (= connection tokens) start here; 0..16 are reserved.
-const FIRST_CLIENT: u64 = 16;
+/// Frames an outbox may hold before its reader stops taking requests.
+/// A reply is a few bytes, so a client that submits without reading
+/// pins a few KiB; one that reads never gets near the cap.
+const OUTBOX_FRAMES: usize = 1024;
+
+/// How long a socket write may make no progress before the peer counts
+/// as gone (its connection closes and its jobs are cancelled). This is
+/// also the longest one stuck client can hold up [`Server::join`].
+const WRITE_STALL: Duration = Duration::from_secs(5);
+
+/// Pause after a failed `accept` (EMFILE and the like): the connection
+/// stays in the backlog, and retrying at once would spin until a
+/// descriptor frees up.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Live socket connections. Each costs two threads, two descriptors and
+/// up to one `MAX_FRAME_LEN` frame in its reader; a connection past the
+/// cap is closed as soon as it is accepted.
+const MAX_CONNS: usize = 64;
 
 /// One job's outcome as delivered to a [`LocalClient`]: the full
 /// statistics, not the wire summary.
@@ -80,12 +106,12 @@ impl LocalInbox {
 
     fn recv_timeout(&self, timeout: Duration) -> Option<LocalResult> {
         let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         loop {
             if let Some(r) = q.pop_front() {
                 return Some(r);
             }
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return None;
             }
@@ -98,10 +124,81 @@ impl LocalInbox {
     }
 }
 
+/// A socket connection's encoded server→client frames. Workers and the
+/// reader append without blocking; the connection's writer drains it.
+#[derive(Default)]
+struct Outbox {
+    state: Mutex<Pending>,
+    /// Wakes the writer: frames arrived, or the outbox is closing or dead.
+    ready: Condvar,
+    /// Wakes a reader waiting for room: the writer wrote a batch, or the
+    /// connection died.
+    room: Condvar,
+}
+
+#[derive(Default)]
+struct Pending {
+    /// Encoded frames the writer has not taken yet.
+    bytes: Vec<u8>,
+    /// Frames not yet written: those in `bytes` plus the writer's batch.
+    frames: usize,
+    /// The pool has drained: write what is left, then shut the socket.
+    closing: bool,
+    /// The connection is over: drop everything.
+    dead: bool,
+}
+
+impl Outbox {
+    fn lock(&self) -> MutexGuard<'_, Pending> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append the frame `reply` builds. `reply` runs with the outbox
+    /// held, so a frame posted meanwhile by another thread (a worker's
+    /// `Result`) lands after it.
+    fn post(&self, reply: impl FnOnce() -> ServerMsg) {
+        let mut st = self.lock();
+        let msg = reply();
+        // Encoding only fails on a frame past MAX_FRAME_LEN, which no
+        // ServerMsg reaches, and writes nothing then.
+        if !st.dead && encode_server(&mut st.bytes, &msg).is_ok() {
+            st.frames += 1;
+        }
+        drop(st);
+        self.ready.notify_one();
+    }
+
+    /// Block until there is room for another request's reply; `false`
+    /// once the connection is dead.
+    fn wait_for_room(&self) -> bool {
+        let mut st = self.lock();
+        while st.frames >= OUTBOX_FRAMES && !st.dead {
+            st = self.room.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        !st.dead
+    }
+
+    /// Have the writer flush what is queued and then shut the socket.
+    fn close(&self) {
+        self.lock().closing = true;
+        self.ready.notify_one();
+    }
+
+    /// Drop what is queued and release both of the connection's threads.
+    fn kill(&self) {
+        let mut st = self.lock();
+        st.dead = true;
+        st.bytes = Vec::new();
+        drop(st);
+        self.ready.notify_one();
+        self.room.notify_one();
+    }
+}
+
 /// Where a completed job's result goes.
 enum Dest {
-    /// A socket connection, by token.
-    Conn(u64),
+    /// A socket connection's outbox.
+    Conn(Arc<Outbox>),
     /// An in-process client's inbox.
     Local(Arc<LocalInbox>),
 }
@@ -112,46 +209,50 @@ struct Route {
     ticket: u64,
 }
 
+impl Route {
+    /// Hand one outcome to whoever submitted the job.
+    fn deliver(self, wall: Duration, stats: Result<SimStats, String>) {
+        match self.dest {
+            Dest::Local(inbox) => inbox.push(LocalResult {
+                ticket: self.ticket,
+                wall,
+                stats,
+            }),
+            Dest::Conn(outbox) => {
+                let result = WireResult {
+                    ticket: self.ticket,
+                    wall_us: wall.as_micros() as u64,
+                    outcome: stats.map(|s| WireStats {
+                        cycles: s.cycles,
+                        committed_uops: s.committed_uops,
+                        copies: s.copies_generated,
+                        digest: stats_digest(&s),
+                    }),
+                };
+                outbox.post(|| ServerMsg::Result(result));
+            }
+        }
+    }
+}
+
 /// Shared server state.
 struct SvcInner {
     sched: Scheduler,
     routes: Mutex<HashMap<u64, Route>>,
-    /// Serialized server→client frames awaiting the reactor, keyed by
-    /// connection token. Tokens without a live connection are dropped at
-    /// drain time (the client went away; its jobs were cancelled).
-    mailbox: Mutex<Vec<(u64, Vec<u8>)>>,
-    /// Write end of the reactor's wakeup pipe (None until a listener is
-    /// served).
-    waker: Mutex<Option<UnixStream>>,
-    workers_done: AtomicBool,
+    /// Live socket connections' outboxes by client id; `None` once the
+    /// pool has drained and every connection was told to close.
+    conns: Mutex<Option<HashMap<u64, Arc<Outbox>>>>,
+    /// Client ids, for sockets and local clients alike.
+    next_client: AtomicU64,
 }
 
 impl SvcInner {
-    fn lock_routes(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Route>> {
+    fn lock_routes(&self) -> MutexGuard<'_, HashMap<u64, Route>> {
         self.routes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Poke the reactor (no-op when no listener is being served). The
-    /// pipe is non-blocking: a full pipe already guarantees a pending
-    /// wakeup, so a `WouldBlock` is success.
-    fn wake(&self) {
-        let guard = self.waker.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(w) = guard.as_ref() {
-            let _ = (&*w).write(&[1]);
-        }
-    }
-
-    /// Queue one server→client frame for the reactor.
-    fn post(&self, conn: u64, msg: &ServerMsg) {
-        let mut frame = Vec::with_capacity(64);
-        // Serializing to a Vec only fails on a >16 MiB frame, which no
-        // ServerMsg can produce.
-        if encode_server(&mut frame, msg).is_ok() {
-            self.mailbox
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push((conn, frame));
-        }
+    fn lock_conns(&self) -> MutexGuard<'_, Option<HashMap<u64, Arc<Outbox>>>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The completion sink handed to `drain_source` — must not panic.
@@ -161,72 +262,59 @@ impl SvcInner {
         let Some(route) = self.lock_routes().remove(&done.ticket) else {
             return;
         };
-        let wall = done.outcome.wall;
-        match route.dest {
-            Dest::Local(inbox) => inbox.push(LocalResult {
-                ticket: route.ticket,
-                wall,
-                stats: done.outcome.stats.map_err(|e| e.to_string()),
-            }),
-            Dest::Conn(conn) => {
-                let outcome = match done.outcome.stats {
-                    Ok(s) => Ok(WireStats {
-                        cycles: s.cycles,
-                        committed_uops: s.committed_uops,
-                        copies: s.copies_generated,
-                        digest: stats_digest(&s),
-                    }),
-                    Err(e) => Err(e.to_string()),
-                };
-                self.post(
-                    conn,
-                    &ServerMsg::Result(WireResult {
-                        ticket: route.ticket,
-                        wall_us: wall.as_micros() as u64,
-                        outcome,
-                    }),
-                );
-                self.wake();
-            }
-        }
+        route.deliver(
+            done.outcome.wall,
+            done.outcome.stats.map_err(|e| e.to_string()),
+        );
     }
 
     /// Report jobs that were cancelled before they started (queue drains
     /// from `CancelAll`, client disconnect, or shutdown).
     fn report_drained(&self, drained: Vec<Drained>) {
-        if drained.is_empty() {
-            return;
+        self.sched.counters.completed.add(drained.len() as u64);
+        // Out of the map before delivering: a reader holds its outbox
+        // while it takes the routes lock to admit a job.
+        let routes: Vec<Route> = {
+            let mut map = self.lock_routes();
+            drained
+                .iter()
+                .filter_map(|d| map.remove(&d.global))
+                .collect()
+        };
+        for route in routes {
+            route.deliver(Duration::ZERO, Err(CANCELLED_BEFORE_START.into()));
         }
-        let mut routes = self.lock_routes();
-        let mut woke = false;
-        for d in drained {
-            self.sched.counters.completed.inc();
-            let Some(route) = routes.remove(&d.global) else {
-                continue;
-            };
-            match route.dest {
-                Dest::Local(inbox) => inbox.push(LocalResult {
-                    ticket: route.ticket,
-                    wall: Duration::ZERO,
-                    stats: Err(CANCELLED_BEFORE_START.into()),
-                }),
-                Dest::Conn(conn) => {
-                    self.post(
-                        conn,
-                        &ServerMsg::Result(WireResult {
-                            ticket: route.ticket,
-                            wall_us: 0,
-                            outcome: Err(CANCELLED_BEFORE_START.into()),
-                        }),
-                    );
-                    woke = true;
-                }
+    }
+
+    /// Close intake and report the queued jobs cancelled. The connection
+    /// map stays locked meanwhile, so the pool's final
+    /// [`close_conns`](SvcInner::close_conns) cannot overtake a report.
+    fn shutdown(&self) {
+        let _conns = self.lock_conns();
+        let drained = self.sched.shutdown();
+        self.report_drained(drained);
+    }
+
+    /// The pool has drained: flush and close every connection, and turn
+    /// new ones away.
+    fn close_conns(&self) {
+        if let Some(live) = self.lock_conns().take() {
+            for outbox in live.into_values() {
+                outbox.close();
             }
         }
-        drop(routes);
-        if woke {
-            self.wake();
+    }
+
+    /// Retire connection `id`: forget it, stop its writer, and cancel
+    /// what it left queued or running (a vanished client implicitly
+    /// cancels its outstanding work).
+    fn hang_up(&self, id: u64, outbox: &Outbox) {
+        if let Some(live) = self.lock_conns().as_mut() {
+            live.remove(&id);
         }
+        outbox.kill();
+        let drained = self.sched.cancel_client(id);
+        self.report_drained(drained);
     }
 
     /// Route-registering submit shared by sockets and local clients.
@@ -304,25 +392,22 @@ impl ServerBuilder {
         let inner = Arc::new(SvcInner {
             sched: Scheduler::new(self.sched),
             routes: Mutex::new(HashMap::new()),
-            mailbox: Mutex::new(Vec::new()),
-            waker: Mutex::new(None),
-            workers_done: AtomicBool::new(false),
+            conns: Mutex::new(Some(HashMap::new())),
+            next_client: AtomicU64::new(1),
         });
         let driver = EvalDriver::new(&self.machine).threads(self.threads);
         let drain = {
             let inner = Arc::clone(&inner);
             let opts = self.opts;
-            std::thread::spawn(move || {
+            thread::spawn(move || {
                 driver.drain_source(&inner.sched, &opts, &|done| inner.complete(done));
-                inner.workers_done.store(true, Ordering::SeqCst);
-                inner.wake();
+                inner.close_conns();
             })
         };
         Server {
             inner,
-            next_local: std::sync::atomic::AtomicU64::new(1_000_000_000),
-            drain: Some(drain),
-            reactor: None,
+            drain,
+            acceptor: None,
         }
     }
 }
@@ -330,9 +415,10 @@ impl ServerBuilder {
 /// A running evaluation service.
 pub struct Server {
     inner: Arc<SvcInner>,
-    next_local: std::sync::atomic::AtomicU64,
-    drain: Option<std::thread::JoinHandle<()>>,
-    reactor: Option<std::thread::JoinHandle<io::Result<()>>>,
+    drain: JoinHandle<()>,
+    /// The acceptor thread and the address [`join`](Server::join) wakes
+    /// it through.
+    acceptor: Option<(JoinHandle<()>, Addr)>,
 }
 
 impl Server {
@@ -341,7 +427,7 @@ impl Server {
     pub fn local_client(&self) -> LocalClient {
         LocalClient {
             inner: Arc::clone(&self.inner),
-            client_id: self.next_local.fetch_add(1, Ordering::Relaxed),
+            client_id: self.inner.next_client.fetch_add(1, Ordering::Relaxed),
             inbox: Arc::new(LocalInbox::default()),
         }
     }
@@ -352,33 +438,28 @@ impl Server {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
-        self.spawn_reactor(Listener::Unix(listener), Some(path))
+        self.spawn_acceptor(Listener::Unix(listener), Addr::Unix(path))
     }
 
     /// Serve connections on a TCP address (e.g. `"127.0.0.1:0"`);
     /// returns the bound address. One listener per server.
-    pub fn serve_tcp(&mut self, addr: &str) -> io::Result<std::net::SocketAddr> {
+    pub fn serve_tcp(&mut self, addr: &str) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        self.spawn_reactor(Listener::Tcp(listener), None)?;
+        self.spawn_acceptor(Listener::Tcp(listener), Addr::Tcp(bound))?;
         Ok(bound)
     }
 
-    fn spawn_reactor(&mut self, listener: Listener, unlink: Option<PathBuf>) -> io::Result<()> {
-        if self.reactor.is_some() {
+    fn spawn_acceptor(&mut self, listener: Listener, addr: Addr) -> io::Result<()> {
+        if self.acceptor.is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 "server already has a listener",
             ));
         }
         let inner = Arc::clone(&self.inner);
-        self.reactor = Some(std::thread::spawn(move || {
-            let r = run_reactor(&inner, listener);
-            if let Some(path) = unlink {
-                let _ = std::fs::remove_file(path);
-            }
-            r
-        }));
+        let acceptor = thread::spawn(move || accept_loop(&inner, &listener));
+        self.acceptor = Some((acceptor, addr));
         Ok(())
     }
 
@@ -387,37 +468,46 @@ impl Server {
         self.inner.sched.stats()
     }
 
-    /// Per-priority queue-wait histograms (microseconds).
-    pub fn queue_wait_hists(&self) -> [virtclust_obs::Log2Hist; 3] {
-        self.inner.sched.queue_wait_hists()
-    }
-
     /// Close intake, cancel queued jobs (reported cancelled to their
-    /// owners), let running jobs finish, stop workers and the reactor.
+    /// owners), let running jobs finish; then the workers stop and every
+    /// connection flushes and closes.
     pub fn shutdown(&self) {
-        let drained = self.inner.sched.shutdown();
-        self.inner.report_drained(drained);
-        self.inner.wake();
+        self.inner.shutdown();
     }
 
     /// Wait for the service to stop (a [`shutdown`](Server::shutdown)
-    /// call or a wire `Shutdown` frame). Surfaces a reactor I/O error;
-    /// on success returns the final statistics snapshot (taken after the
-    /// pool drained, so `completed` is the last word).
-    pub fn join(mut self) -> io::Result<SvcStats> {
+    /// call or a wire `Shutdown` frame), then stop the acceptor and
+    /// remove the Unix socket file. On success returns the final
+    /// statistics snapshot (taken after the pool drained, so `completed`
+    /// is the last word).
+    pub fn join(self) -> io::Result<SvcStats> {
+        let Server {
+            inner,
+            drain,
+            acceptor,
+        } = self;
         let mut result = Ok(());
-        if let Some(d) = self.drain.take() {
-            if d.join().is_err() {
-                result = Err(io::Error::other("worker pool panicked"));
+        if drain.join().is_err() {
+            // The pool never reached its own close_conns.
+            inner.close_conns();
+            result = Err(io::Error::other("worker pool panicked"));
+        }
+        if let Some((acceptor, addr)) = acceptor {
+            // The acceptor is blocked in `accept`: a throwaway connection
+            // wakes it to find the connection map closed.
+            match addr.wake() {
+                Ok(()) => {
+                    if acceptor.join().is_err() {
+                        result = Err(io::Error::other("acceptor panicked"));
+                    }
+                }
+                Err(e) => result = result.and(Err(e)),
+            }
+            if let Addr::Unix(path) = addr {
+                let _ = std::fs::remove_file(path);
             }
         }
-        if let Some(r) = self.reactor.take() {
-            match r.join() {
-                Ok(r) => result = result.and(r),
-                Err(_) => result = Err(io::Error::other("reactor panicked")),
-            }
-        }
-        result.map(|()| self.inner.sched.stats())
+        result.map(|()| inner.sched.stats())
     }
 }
 
@@ -466,301 +556,184 @@ enum Listener {
 }
 
 impl Listener {
-    fn set_nonblocking(&self) -> io::Result<()> {
-        match self {
-            Listener::Unix(l) => l.set_nonblocking(true),
-            Listener::Tcp(l) => l.set_nonblocking(true),
-        }
-    }
-
-    fn raw_fd(&self) -> std::os::fd::RawFd {
-        match self {
-            Listener::Unix(l) => l.as_raw_fd(),
-            Listener::Tcp(l) => l.as_raw_fd(),
-        }
-    }
-
-    /// Accept one connection, already non-blocking.
+    /// Accept one connection, its writes bounded by [`WRITE_STALL`].
     fn accept(&self) -> io::Result<Stream> {
-        let stream = match self {
-            Listener::Unix(l) => Stream::Unix(l.accept()?.0),
+        Ok(match self {
+            Listener::Unix(l) => {
+                let (s, _) = l.accept()?;
+                s.set_write_timeout(Some(WRITE_STALL))?;
+                Stream::Unix(s)
+            }
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
                 s.set_nodelay(true)?;
+                s.set_write_timeout(Some(WRITE_STALL))?;
                 Stream::Tcp(s)
             }
+        })
+    }
+}
+
+/// Where the acceptor listens.
+enum Addr {
+    Unix(PathBuf),
+    Tcp(SocketAddr),
+}
+
+impl Addr {
+    /// Connect and hang up at once.
+    fn wake(&self) -> io::Result<()> {
+        match self {
+            Addr::Unix(path) => UnixStream::connect(path).map(drop),
+            Addr::Tcp(addr) => TcpStream::connect(addr).map(drop),
+        }
+    }
+}
+
+/// The acceptor: start every connection until the connection map is
+/// closed, then wait for every connection thread to finish.
+fn accept_loop(inner: &SvcInner, listener: &Listener) {
+    thread::scope(|scope| loop {
+        let accepted = listener.accept();
+        let mut conns = inner.lock_conns();
+        // Closed: the pool has drained, and this is `join` waking us.
+        let Some(live) = conns.as_mut() else {
+            return;
         };
-        stream.set_nonblocking(true)?;
-        Ok(stream)
-    }
-}
-
-/// One live connection's reactor-side state.
-struct Conn {
-    stream: Stream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    preambled: bool,
-    /// Current poller interest (write side), to avoid redundant syscalls.
-    write_armed: bool,
-    dead: bool,
-}
-
-impl Conn {
-    fn queue(&mut self, frame: &[u8]) {
-        self.wbuf.extend_from_slice(frame);
-    }
-
-    fn queue_msg(&mut self, msg: &ServerMsg) {
-        let mut frame = Vec::with_capacity(64);
-        if encode_server(&mut frame, msg).is_ok() {
-            self.queue(&frame);
-        }
-    }
-
-    /// Flush as much queued output as the socket takes.
-    fn flush(&mut self) {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        self.wbuf.clear();
-        self.wpos = 0;
-    }
-
-    fn has_pending_output(&self) -> bool {
-        self.wpos < self.wbuf.len()
-    }
-}
-
-/// The reactor loop: multiplex the listener, the wakeup pipe and every
-/// connection; dispatch frames into the scheduler; stream results out.
-fn run_reactor(inner: &Arc<SvcInner>, listener: Listener) -> io::Result<()> {
-    let poller = Poller::new()?;
-    listener.set_nonblocking()?;
-    poller.add(listener.raw_fd(), TOK_LISTENER, Interest::READ)?;
-    let (wake_read, wake_write) = UnixStream::pair()?;
-    wake_read.set_nonblocking(true)?;
-    wake_write.set_nonblocking(true)?;
-    poller.add(wake_read.as_raw_fd(), TOK_WAKER, Interest::READ)?;
-    *inner.waker.lock().unwrap_or_else(PoisonError::into_inner) = Some(wake_write);
-
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = FIRST_CLIENT;
-    loop {
-        // Bounded timeout: the exit condition (shutdown + workers done +
-        // everything flushed) must be re-checked even if no event fires.
-        let events = poller.wait(500)?;
-        for ev in &events {
-            match ev.token {
-                TOK_LISTENER => loop {
-                    match listener.accept() {
-                        Ok(stream) => {
-                            let token = next_token;
-                            next_token += 1;
-                            let fd = stream.as_raw_fd();
-                            let mut conn = Conn {
-                                stream,
-                                rbuf: Vec::new(),
-                                wbuf: Vec::new(),
-                                wpos: 0,
-                                preambled: false,
-                                write_armed: true,
-                                dead: false,
-                            };
-                            // Greet first: the preamble goes out as soon
-                            // as the socket is writable.
-                            let mut hello = Vec::with_capacity(5);
-                            let _ = send_preamble(&mut hello);
-                            conn.queue(&hello);
-                            poller.add(fd, token, Interest::READ_WRITE)?;
-                            conns.insert(token, conn);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(e),
-                    }
-                },
-                TOK_WAKER => {
-                    let mut sink = [0u8; 64];
-                    while matches!((&wake_read).read(&mut sink), Ok(n) if n > 0) {}
-                }
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue;
-                    };
-                    if ev.readable || ev.hangup {
-                        read_and_dispatch(inner, token, conn);
-                    }
-                    if ev.writable {
-                        conn.flush();
-                    }
-                }
-            }
-        }
-
-        // Worker completions → per-connection write buffers.
-        let mail =
-            std::mem::take(&mut *inner.mailbox.lock().unwrap_or_else(PoisonError::into_inner));
-        for (token, frame) in mail {
-            if let Some(conn) = conns.get_mut(&token) {
-                conn.queue(&frame);
-            }
-        }
-
-        // Flush, re-arm write interest only where needed, reap the dead.
-        let mut dead = Vec::new();
-        for (&token, conn) in conns.iter_mut() {
-            if !conn.dead && conn.has_pending_output() {
-                conn.flush();
-            }
-            if conn.dead {
-                dead.push(token);
+        let stream = match accepted {
+            Ok(stream) if live.len() < MAX_CONNS => stream,
+            // Past the cap: dropping the stream closes just this one.
+            Ok(_) => continue,
+            Err(_) => {
+                drop(conns);
+                thread::sleep(ACCEPT_BACKOFF);
                 continue;
             }
-            let want_write = conn.has_pending_output();
-            if want_write != conn.write_armed {
-                let interest = if want_write {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
-                };
-                poller.modify(conn.stream.as_raw_fd(), token, interest)?;
-                conn.write_armed = want_write;
-            }
+        };
+        let id = inner.next_client.fetch_add(1, Ordering::Relaxed);
+        let outbox = Arc::new(Outbox::default());
+        live.insert(id, Arc::clone(&outbox));
+        drop(conns);
+        if start_conn(scope, inner, id, &outbox, stream).is_err() {
+            inner.hang_up(id, &outbox);
         }
-        for token in dead {
-            if let Some(conn) = conns.remove(&token) {
-                let _ = poller.delete(conn.stream.as_raw_fd());
-            }
-            // A vanished client implicitly cancels its outstanding work.
-            let drained = inner.sched.cancel_client(token);
-            inner.report_drained(drained);
-        }
-
-        if inner.sched.is_shutdown() && inner.workers_done.load(Ordering::SeqCst) {
-            // Final drain: deliver any last results, then leave.
-            let mail =
-                std::mem::take(&mut *inner.mailbox.lock().unwrap_or_else(PoisonError::into_inner));
-            for (token, frame) in mail {
-                if let Some(conn) = conns.get_mut(&token) {
-                    conn.queue(&frame);
-                }
-            }
-            let everything_flushed = conns.values().all(|c| !c.has_pending_output());
-            for conn in conns.values_mut() {
-                conn.flush();
-            }
-            if everything_flushed {
-                return Ok(());
-            }
-        }
-    }
+    });
 }
 
-/// Pull bytes off a connection, parse complete frames, dispatch them.
-fn read_and_dispatch(inner: &Arc<SvcInner>, token: u64, conn: &mut Conn) {
-    let mut buf = [0u8; 4096];
-    loop {
-        match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
-            Ok(n) => conn.rbuf.extend_from_slice(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
-        }
-    }
-    loop {
-        if !conn.preambled {
-            if conn.rbuf.len() < 5 {
-                break;
-            }
-            let mut r = &conn.rbuf[..5];
-            if recv_preamble(&mut r).is_err() {
-                conn.dead = true;
-                return;
-            }
-            conn.rbuf.drain(..5);
-            conn.preambled = true;
-        }
-        match split_frame(&conn.rbuf) {
-            Ok(Some((msg_type, body, used))) => {
-                conn.rbuf.drain(..used);
-                match decode_client(msg_type, &body) {
-                    // Unknown type: consumed and skipped (forward compat).
-                    Ok(None) => {}
-                    Ok(Some(msg)) => dispatch(inner, token, conn, msg),
-                    Err(_) => {
-                        conn.dead = true;
-                        return;
-                    }
-                }
-            }
-            Ok(None) => break,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
+/// Greet a new connection, then start its writer and reader. A failed
+/// spawn returns an error instead of panicking, and costs only this
+/// connection.
+fn start_conn<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    inner: &'scope SvcInner,
+    id: u64,
+    outbox: &Arc<Outbox>,
+    mut stream: Stream,
+) -> io::Result<()> {
+    // One write, first thing: the client's handshake is waiting on it.
+    let mut hello = Vec::with_capacity(5);
+    let _ = send_preamble(&mut hello); // into a Vec: cannot fail
+    stream.write_all(&hello)?;
+    let to_client = stream.try_clone()?;
+    let writer_outbox = Arc::clone(outbox);
+    thread::Builder::new()
+        .name("svc-writer".into())
+        .spawn_scoped(scope, move || write_loop(&writer_outbox, to_client))?;
+    let outbox = Arc::clone(outbox);
+    thread::Builder::new()
+        .name("svc-reader".into())
+        .spawn_scoped(scope, move || read_loop(inner, id, outbox, stream))?;
+    Ok(())
 }
 
-/// Handle one decoded client message.
-fn dispatch(inner: &Arc<SvcInner>, token: u64, conn: &mut Conn, msg: ClientMsg) {
+/// A connection's writer: drain the outbox to the socket until it is
+/// closed and empty or the connection dies, then shut the socket (the
+/// client reads EOF; the reader's blocked read returns).
+fn write_loop(outbox: &Outbox, mut stream: Stream) {
+    let mut batch = Vec::new();
+    loop {
+        let frames = {
+            let mut st = outbox.lock();
+            while st.bytes.is_empty() && !st.closing && !st.dead {
+                st = outbox
+                    .ready
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if st.dead || st.bytes.is_empty() {
+                break;
+            }
+            batch.clear();
+            std::mem::swap(&mut batch, &mut st.bytes);
+            st.frames
+        };
+        if stream.write_all(&batch).is_err() {
+            outbox.kill();
+            break;
+        }
+        outbox.lock().frames -= frames;
+        outbox.room.notify_one();
+    }
+    stream.shutdown();
+}
+
+/// A connection's reader: take requests until the client hangs up,
+/// breaks the protocol or the connection dies, then retire it.
+fn read_loop(inner: &SvcInner, id: u64, outbox: Arc<Outbox>, stream: Stream) {
+    let mut from_client = BufReader::new(stream);
+    if recv_preamble(&mut from_client).is_ok() {
+        while outbox.wait_for_room() {
+            // EOF, a broken frame or a dead socket all end the connection.
+            let Ok(Some((msg_type, body))) = read_frame(&mut from_client) else {
+                break;
+            };
+            match decode_client(msg_type, &body) {
+                Ok(Some(msg)) => dispatch(inner, id, &outbox, msg),
+                // Unknown type: consumed and skipped (forward compat).
+                Ok(None) => {}
+                Err(_) => break,
+            }
+        }
+    }
+    // Fails a write stalled on this client at once, not after WRITE_STALL.
+    from_client.get_ref().shutdown();
+    inner.hang_up(id, &outbox);
+}
+
+/// Handle one decoded request from connection `id`.
+fn dispatch(inner: &SvcInner, id: u64, outbox: &Arc<Outbox>, msg: ClientMsg) {
     match msg {
         ClientMsg::Submit(Submit {
             ticket,
             priority,
             deadline_ms,
             spec,
-        }) => {
-            let job = match resolve_spec(&spec) {
-                Ok(job) => job,
-                Err(e) => {
-                    // Resolution failures are immediate Result frames —
-                    // the job never existed service-side.
-                    conn.queue_msg(&ServerMsg::Result(WireResult {
-                        ticket,
-                        wall_us: 0,
-                        outcome: Err(e),
-                    }));
-                    return;
-                }
-            };
-            let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-            match inner.submit_routed(token, Dest::Conn(token), ticket, job, priority, deadline) {
-                Ok(()) => conn.queue_msg(&ServerMsg::Accepted { ticket }),
-                Err(reason) => conn.queue_msg(&ServerMsg::Busy { ticket, reason }),
+        }) => match resolve_spec(&spec) {
+            Ok(job) => {
+                let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
+                let dest = Dest::Conn(Arc::clone(outbox));
+                outbox.post(|| {
+                    match inner.submit_routed(id, dest, ticket, job, priority, deadline) {
+                        Ok(()) => ServerMsg::Accepted { ticket },
+                        Err(reason) => ServerMsg::Busy { ticket, reason },
+                    }
+                });
             }
-        }
+            // Resolution failures are immediate Result frames — the job
+            // never existed service-side.
+            Err(e) => outbox.post(|| {
+                ServerMsg::Result(WireResult {
+                    ticket,
+                    wall_us: 0,
+                    outcome: Err(e),
+                })
+            }),
+        },
         ClientMsg::CancelAll => {
-            let drained = inner.sched.cancel_client(token);
+            let drained = inner.sched.cancel_client(id);
             inner.report_drained(drained);
         }
-        ClientMsg::GetStats => {
-            conn.queue_msg(&ServerMsg::Stats(inner.sched.stats()));
-        }
-        ClientMsg::Shutdown => {
-            let drained = inner.sched.shutdown();
-            inner.report_drained(drained);
-        }
+        ClientMsg::GetStats => outbox.post(|| ServerMsg::Stats(inner.sched.stats())),
+        ClientMsg::Shutdown => inner.shutdown(),
     }
 }

@@ -547,11 +547,12 @@ pub fn decode_server(msg_type: u8, body: &[u8]) -> TraceResult<Option<ServerMsg>
     })
 }
 
-/// Try to split one frame off the front of a read buffer (the reactor's
-/// incremental decoder). Returns `Ok(Some((msg_type, body, consumed)))`
-/// when a whole frame is buffered, `Ok(None)` when more bytes are needed,
-/// and [`TraceError::Corrupt`] on a garbled length prefix. Never consumes
-/// a partial frame.
+/// Try to split one frame off the front of a read buffer, for callers
+/// that gather bytes themselves instead of reading a stream with
+/// [`read_frame`](virtclust_trace::frame::read_frame). Returns
+/// `Ok(Some((msg_type, body, consumed)))` when a whole frame is buffered,
+/// `Ok(None)` when more bytes are needed, and [`TraceError::Corrupt`] on
+/// a garbled length prefix. Never consumes a partial frame.
 pub fn split_frame(buf: &[u8]) -> TraceResult<Option<(u8, Vec<u8>, usize)>> {
     let Some((len, hdr)) = peek_varint(buf)? else {
         return Ok(None);

@@ -1,15 +1,21 @@
 //! Service-layer integration: determinism across transports and arrival
-//! orders, backpressure isolation, cancellation, and socket round-trips
-//! held bit-identical to a direct batch-engine run.
+//! orders, backpressure isolation, cancellation, socket round-trips held
+//! bit-identical to a direct batch-engine run, and a daemon that outlives
+//! hostile clients.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::io::{ErrorKind, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use virtclust_core::{EvalDriver, EvalJob, ResilientOptions};
+use virtclust_svc::wire::{encode_client, recv_preamble, send_preamble};
 use virtclust_svc::{
-    resolve_spec, stats_digest, BusyReason, Client, JobSpec, Priority, ServerBuilder, ServerMsg,
-    Submit, CANCELLED_BEFORE_START,
+    resolve_spec, stats_digest, BusyReason, Client, ClientMsg, JobSpec, Priority, ServerBuilder,
+    ServerMsg, Submit, CANCELLED_BEFORE_START,
 };
+use virtclust_trace::frame::{put_u64, MAX_FRAME_LEN};
 use virtclust_uarch::MachineConfig;
 
 const RECV_TIMEOUT: Duration = Duration::from_secs(60);
@@ -203,17 +209,36 @@ fn cancel_all_reports_queued_jobs_cancelled() {
     server.join().unwrap();
 }
 
-#[test]
-fn unix_socket_round_trip_is_bit_identical_and_shuts_down() {
+/// Where a socket test's server listens.
+enum Transport {
+    Unix(PathBuf),
+    Tcp(&'static str),
+}
+
+/// A fresh Unix socket path for the test named `name`.
+fn sock_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("virtclust-svc-{name}-{}.sock", std::process::id()))
+}
+
+/// Run the mixed schedule over one socket connection: digests must equal
+/// a direct driver run, each ticket's `Accepted` must precede its
+/// `Result`, and a wire shutdown must end in EOF and a clean `join`.
+fn socket_round_trip(transport: Transport) {
     let specs = mixed_specs();
     let expected = direct_digests(&specs);
-    let sock = std::env::temp_dir().join(format!("virtclust-svc-test-{}.sock", std::process::id()));
     let mut server = ServerBuilder::new(&MachineConfig::paper_2cluster())
         .threads(2)
         .start();
-    server.serve_unix(&sock).unwrap();
-
-    let mut client = Client::connect_unix(&sock).unwrap();
+    let mut client = match &transport {
+        Transport::Unix(sock) => {
+            server.serve_unix(sock).unwrap();
+            Client::connect_unix(sock).unwrap()
+        }
+        Transport::Tcp(addr) => {
+            let bound = server.serve_tcp(addr).unwrap();
+            Client::connect_tcp(&bound.to_string()).unwrap()
+        }
+    };
     for (i, spec) in specs.iter().enumerate() {
         client
             .submit(&Submit {
@@ -224,19 +249,24 @@ fn unix_socket_round_trip_is_bit_identical_and_shuts_down() {
             })
             .unwrap();
     }
-    let mut accepted = 0;
+    let mut accepted = HashSet::new();
     let mut results = HashMap::new();
     while results.len() < specs.len() {
         match client.recv().unwrap().expect("server alive") {
-            ServerMsg::Accepted { .. } => accepted += 1,
+            ServerMsg::Accepted { ticket } => assert!(accepted.insert(ticket)),
             ServerMsg::Result(r) => {
+                assert!(
+                    accepted.contains(&r.ticket),
+                    "ticket {} got its Result before its Accepted",
+                    r.ticket
+                );
                 let stats = r.outcome.expect("job ok");
                 results.insert(r.ticket, stats);
             }
             other => panic!("unexpected message: {other:?}"),
         }
     }
-    assert_eq!(accepted, specs.len());
+    assert_eq!(accepted.len(), specs.len());
     for (i, want) in expected.iter().enumerate() {
         assert_eq!(
             results[&(i as u64)].digest,
@@ -254,9 +284,142 @@ fn unix_socket_round_trip_is_bit_identical_and_shuts_down() {
         }
         other => panic!("expected stats, got {other:?}"),
     }
-    // Wire shutdown stops the daemon; the connection then closes.
+    // Wire shutdown stops the daemon; the connection closes before
+    // anyone calls `join`.
     client.shutdown().unwrap();
     assert!(client.recv().unwrap().is_none(), "EOF after shutdown");
     server.join().unwrap();
+    if let Transport::Unix(sock) = transport {
+        assert!(!sock.exists(), "socket file removed on exit");
+    }
+}
+
+#[test]
+fn unix_socket_round_trip_is_bit_identical_and_shuts_down() {
+    socket_round_trip(Transport::Unix(sock_path("round-trip")));
+}
+
+#[test]
+fn tcp_socket_round_trip_is_bit_identical_and_shuts_down() {
+    socket_round_trip(Transport::Tcp("127.0.0.1:0"));
+}
+
+/// A raw connection past the preamble exchange.
+fn handshake(sock: &Path) -> UnixStream {
+    let mut s = UnixStream::connect(sock).unwrap();
+    send_preamble(&mut s).unwrap();
+    recv_preamble(&mut s).unwrap();
+    s
+}
+
+/// Whether the daemon closed `s`: reading it to the end neither hangs
+/// nor times out.
+fn closed_by_daemon(mut s: UnixStream) -> bool {
+    s.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
+    match s.read_to_end(&mut Vec::new()) {
+        Ok(_) => true,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+    }
+}
+
+#[test]
+fn hostile_clients_neither_stop_nor_skew_the_daemon() {
+    let specs = mixed_specs();
+    let expected = direct_digests(&specs);
+    let sock = sock_path("hostile");
+    // A small quota bounces most of the flood below, so little of it runs.
+    let mut server = ServerBuilder::new(&MachineConfig::paper_2cluster())
+        .threads(2)
+        .client_quota(2)
+        .start();
+    server.serve_unix(&sock).unwrap();
+
+    let mut wrong_preamble = UnixStream::connect(&sock).unwrap();
+    wrong_preamble.write_all(b"NOPE\x01").unwrap();
+
+    let mut oversized = handshake(&sock);
+    let mut prefix = Vec::new();
+    put_u64(&mut prefix, MAX_FRAME_LEN + 1);
+    oversized.write_all(&prefix).unwrap();
+
+    let submit = |ticket| {
+        let mut frame = Vec::new();
+        let spec = JobSpec::Point {
+            name: "gzip-1".into(),
+            scheme: "OP".into(),
+            uops: 200,
+        };
+        encode_client(
+            &mut frame,
+            &ClientMsg::Submit(Submit {
+                ticket,
+                priority: Priority::Low,
+                deadline_ms: 0,
+                spec,
+            }),
+        )
+        .unwrap();
+        frame
+    };
+    let mut half_frame = handshake(&sock);
+    let frame = submit(0);
+    half_frame.write_all(&frame[..frame.len() / 2]).unwrap();
+    drop(half_frame);
+
+    // Submit without ever reading. Once the replies fill the socket and
+    // the outbox, the daemon stops reading this client and a write times
+    // out (a broken pipe instead means it read on until it dropped us).
+    let mut flooder = handshake(&sock);
+    flooder
+        .set_write_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut ticket = 0;
+    let stall = (0..1_000).find_map(|_| {
+        let chunk: Vec<u8> = (0..1_000)
+            .flat_map(|_| {
+                ticket += 1;
+                submit(ticket)
+            })
+            .collect();
+        flooder.write_all(&chunk).err()
+    });
+    assert!(
+        matches!(
+            stall.as_ref().map(std::io::Error::kind),
+            Some(ErrorKind::WouldBlock | ErrorKind::TimedOut)
+        ),
+        "after {ticket} submits from a client that never reads: {stall:?}"
+    );
+
+    assert!(
+        closed_by_daemon(wrong_preamble),
+        "wrong preamble not refused"
+    );
+    assert!(closed_by_daemon(oversized), "oversized frame not refused");
+
+    // A well-behaved client, one job at a time to stay inside the quota.
+    let mut client = Client::connect_unix(&sock).unwrap();
+    for (i, (spec, want)) in specs.iter().zip(&expected).enumerate() {
+        client
+            .submit(&Submit {
+                ticket: i as u64,
+                priority: Priority::Normal,
+                deadline_ms: 0,
+                spec: spec.clone(),
+            })
+            .unwrap();
+        let r = client
+            .recv_result(|m| assert_eq!(m, ServerMsg::Accepted { ticket: i as u64 }))
+            .unwrap()
+            .expect("server alive");
+        assert_eq!(r.ticket, i as u64);
+        assert_eq!(r.outcome.expect("job ok").digest, *want, "job {i} differs");
+    }
+
+    // The flooder never reads: its stalled writer must not keep `join`
+    // from returning.
+    server.shutdown();
+    server.join().unwrap();
     assert!(!sock.exists(), "socket file removed on exit");
+    drop(flooder);
 }

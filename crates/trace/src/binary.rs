@@ -101,10 +101,15 @@ pub fn read_header<R: BufRead>(r: &mut R) -> Result<(String, Option<u64>)> {
             version[0]
         )));
     }
-    let len = read_varint(r)? as usize;
-    let mut text = vec![0u8; len];
-    r.read_exact(&mut text)
-        .map_err(|_| TraceError::Corrupt("truncated embedded program".into()))?;
+    // The length comes from the file: read through `take` so the buffer
+    // grows with the bytes that actually arrive, never to a corrupt
+    // prefix's claim.
+    let len = read_varint(r)?;
+    let mut text = Vec::new();
+    r.take(len).read_to_end(&mut text)?;
+    if (text.len() as u64) < len {
+        return Err(TraceError::Corrupt("truncated embedded program".into()));
+    }
     let text = String::from_utf8(text)
         .map_err(|_| TraceError::Corrupt("embedded program is not UTF-8".into()))?;
     let declared = match read_varint(r)? {
@@ -386,6 +391,20 @@ mod tests {
         assert!(matches!(
             read_header(&mut buf.as_slice()),
             Err(TraceError::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn huge_program_length_is_corrupt_not_an_allocation() {
+        // 11 bytes claiming a 1 TiB embedded program.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(BINARY_MAGIC);
+        buf.push(FORMAT_VERSION as u8);
+        write_varint(&mut buf, 1 << 40).unwrap();
+        assert_eq!(buf.len(), 11);
+        assert!(matches!(
+            read_header(&mut buf.as_slice()),
+            Err(TraceError::Corrupt(_))
         ));
     }
 }
