@@ -11,10 +11,15 @@
 //!
 //! * each worker owns one [`SimSession`], reset — not reallocated — per
 //!   cell;
-//! * each worker caches open [`TraceReader`]s, so a `.vct`/`.vctb` file is
-//!   parsed once and then [`rewound`](TraceReader::rewind) per cell (with
-//!   [`TraceReader::set_program`] swapping the steering hints per
-//!   configuration);
+//! * each drain shares one compile cache across its workers, so a suite
+//!   point's program is built once and a configuration's compiler pass
+//!   runs once per (program, configuration) key: later jobs reuse the
+//!   pass's steering hints (bounded, cleared when full; see
+//!   [`drain_source`](EvalDriver::drain_source));
+//! * each worker caches up to 32 open [`TraceReader`]s, so a `.vct`/`.vctb`
+//!   file is parsed once and then [`rewound`](TraceReader::rewind) per
+//!   cell (with [`TraceReader::set_program`] swapping the steering hints
+//!   per configuration); past the cap the worker's reader cache clears;
 //! * jobs are heterogeneous ([`EvalJob`]): generated suite points, imported
 //!   kernel programs, and stored-trace replays mix freely in one queue;
 //! * completion streams through an `on_cell` callback as cells finish
@@ -86,7 +91,7 @@ use std::io::BufReader;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use virtclust_obs::{ChromeTrace, Counter, Log2Hist};
@@ -95,9 +100,9 @@ use virtclust_trace::{TraceError, TraceReader};
 use virtclust_uarch::{MachineConfig, Program};
 use virtclust_workloads::{KernelParams, TraceExpander, TracePoint};
 
-use crate::experiment::{run_point_on, Configuration};
+use crate::compile::{CompileCache, PointKey, Source};
+use crate::experiment::Configuration;
 use crate::fault;
-use crate::replay::annotate_for_replay;
 
 /// One unit of work for the [`EvalDriver`]: a workload crossed with a
 /// steering configuration.
@@ -135,7 +140,7 @@ pub enum EvalJob {
     /// apply the configuration's pass, stream the stored dynamic facts.
     /// Workers keep the reader open across jobs and rewind it, so a file
     /// is parsed once per worker no matter how many configurations replay
-    /// it.
+    /// it (while it stays among the worker's 32 open readers).
     Trace {
         /// Path of the stored trace.
         path: PathBuf,
@@ -761,6 +766,15 @@ impl EvalDriver {
     /// slice entry points run through it via an internal cursor source,
     /// and the evaluation service points its scheduler at it directly.
     ///
+    /// The workers share one compile cache for the length of the call:
+    /// each suite point's program is built once, and each configuration's
+    /// compiler pass runs once per (point or program content,
+    /// configuration) key, after which jobs run the hint-free program with
+    /// the cached steering hints. Outcomes are bit-identical to the
+    /// uncached [`crate::run_point`] and [`crate::replay_trace`]. A
+    /// service drains once for its whole life, so there the pass becomes
+    /// a once-per-key cost.
+    ///
     /// Per-job interrupt overrides on the [`SourcedJob`] compose with
     /// `opts`: a job token replaces the batch token for the run (batch
     /// cancellation is still honoured before the job starts), and the
@@ -783,11 +797,13 @@ impl EvalDriver {
         // so a chaos test's schedule reaches its own workers and no one
         // else's (see `fault::participate`).
         let participates = fault::participating();
+        let compiled = CompileCache::default();
+        let compiled = &compiled;
         std::thread::scope(|scope| {
             for w in 0..threads {
                 scope.spawn(move || {
                     fault::participate(participates);
-                    let mut worker = Worker::new(&self.machine);
+                    let mut worker = Worker::new(&self.machine, compiled);
                     while let Some(sourced) = source.pull() {
                         let picked_at = Instant::now();
                         let token = sourced.token.as_ref().or(opts.token.as_ref());
@@ -1023,24 +1039,38 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A cached open trace: the reader (parsed once) plus the pristine
-/// embedded program, cloned per configuration before the hint swap.
+/// Trace readers one worker keeps open. Each holds a descriptor, an 8 KiB
+/// `BufReader` and two copies of its trace's program (the reader's and the
+/// hint-free one), and a service drains for its whole life, so a worker
+/// must not keep every file a client ever named: 32 covers the committed
+/// corpus many times over and keeps a worker's descriptors far below the
+/// usual soft limit of 1 024. Worst case per worker: 32 × (8 KiB + two
+/// programs). Past the cap the map clears, the compile cache's rule.
+const MAX_OPEN_TRACES: usize = 32;
+
+/// A cached open trace: the reader (parsed once) plus the embedded
+/// program with its hints cleared, copied per configuration before the
+/// hint swap, and its content hash once a configuration with a pass
+/// needed it.
 struct CachedTrace {
     reader: TraceReader<BufReader<File>>,
-    pristine: Program,
+    pristine: Arc<Program>,
+    hash: Option<u64>,
 }
 
 /// Per-worker reusable state.
 struct Worker<'m> {
     machine: &'m MachineConfig,
+    compiled: &'m CompileCache,
     session: SimSession,
     traces: HashMap<PathBuf, CachedTrace>,
 }
 
 impl<'m> Worker<'m> {
-    fn new(machine: &'m MachineConfig) -> Self {
+    fn new(machine: &'m MachineConfig, compiled: &'m CompileCache) -> Self {
         Worker {
             machine,
+            compiled,
             session: SimSession::new(machine),
             traces: HashMap::new(),
         }
@@ -1049,7 +1079,8 @@ impl<'m> Worker<'m> {
     /// Drop everything reused across jobs: the session (whose state may
     /// have died mid-mutation in a panic) and the trace-reader cache
     /// (whose readers may be mid-stream). The bit-identity contract makes
-    /// this safe: a rebuilt worker *is* a fresh machine.
+    /// this safe: a rebuilt worker *is* a fresh machine. The drain's
+    /// compile cache stays: it only ever holds finished values.
     fn quarantine(&mut self) {
         self.session = SimSession::new(self.machine);
         self.traces.clear();
@@ -1088,19 +1119,29 @@ impl<'m> Worker<'m> {
         }
     }
 
+    /// Run one job: its hint-free program with the configuration's cached
+    /// hints, exactly what `run_point`, `replay_trace` or a hand-annotated
+    /// expander run would simulate.
     fn dispatch(&mut self, job: &EvalJob) -> Result<SimStats, TraceError> {
+        let (machine, compiled) = (self.machine, self.compiled);
         match job {
             EvalJob::Point {
                 point,
                 config,
                 uops,
-            } => Ok(run_point_on(
-                &mut self.session,
-                point,
-                config,
-                self.machine,
-                *uops,
-            )),
+            } => {
+                let key = PointKey::of(point);
+                let base = compiled.point_program(&key, point);
+                let program = compiled.annotate(|| Source::Point(key), &base, config, machine);
+                let mut trace = point.expander(&program);
+                let mut policy = config.make_policy();
+                Ok(self.session.simulate(
+                    machine,
+                    &mut trace,
+                    policy.as_mut(),
+                    &RunLimits::uops(*uops),
+                ))
+            }
             EvalJob::Kernel {
                 program,
                 params,
@@ -1108,11 +1149,19 @@ impl<'m> Worker<'m> {
                 config,
                 uops,
             } => {
-                let program = annotate_for_replay(program.clone(), config, self.machine);
+                let mut base = program.clone();
+                base.clear_hints();
+                let base = Arc::new(base);
+                let program = compiled.annotate(
+                    || Source::program(compiled.content_hash(&base), Arc::clone(&base)),
+                    &base,
+                    config,
+                    machine,
+                );
                 let mut trace = TraceExpander::new(&program, params, *seed);
                 let mut policy = config.make_policy();
                 Ok(self.session.simulate(
-                    self.machine,
+                    machine,
                     &mut trace,
                     policy.as_mut(),
                     &RunLimits::uops(*uops),
@@ -1123,33 +1172,51 @@ impl<'m> Worker<'m> {
                 config,
                 limits,
             } => {
+                if self.traces.len() >= MAX_OPEN_TRACES && !self.traces.contains_key(path) {
+                    self.traces.clear();
+                }
                 let cached = match self.traces.entry(path.clone()) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(e) => {
                         fault::fire(fault::TRACE_OPEN)?;
                         let reader = TraceReader::open(path)?;
-                        let pristine = reader.program().clone();
-                        e.insert(CachedTrace { reader, pristine })
+                        let mut pristine = reader.program().clone();
+                        pristine.clear_hints();
+                        e.insert(CachedTrace {
+                            reader,
+                            pristine: Arc::new(pristine),
+                            hash: None,
+                        })
                     }
                 };
                 // The `replay_trace` preparation, over the already-parsed,
                 // rewound reader.
-                let program = annotate_for_replay(cached.pristine.clone(), config, self.machine);
-                fault::fire(fault::TRACE_SET_PROGRAM)?;
-                cached.reader.set_program(program)?;
-                fault::fire(fault::TRACE_REWIND)?;
-                cached.reader.rewind()?;
-                let mut policy = config.make_policy();
-                let stats = self.session.simulate(
-                    self.machine,
-                    &mut cached.reader,
-                    policy.as_mut(),
-                    limits,
+                let CachedTrace {
+                    reader,
+                    pristine,
+                    hash,
+                } = cached;
+                let program = compiled.annotate(
+                    || {
+                        let hash = *hash.get_or_insert_with(|| compiled.content_hash(pristine));
+                        Source::program(hash, Arc::clone(pristine))
+                    },
+                    pristine,
+                    config,
+                    machine,
                 );
+                fault::fire(fault::TRACE_SET_PROGRAM)?;
+                reader.set_program(program.into_owned())?;
+                fault::fire(fault::TRACE_REWIND)?;
+                reader.rewind()?;
+                let mut policy = config.make_policy();
+                let stats = self
+                    .session
+                    .simulate(machine, reader, policy.as_mut(), limits);
                 // Errors inside the simulation loop surface as a silently-
                 // ended trace; re-raise them so a corrupt file can never
                 // masquerade as a short run.
-                if let Some(err) = cached.reader.take_error() {
+                if let Some(err) = reader.take_error() {
                     return Err(err);
                 }
                 Ok(stats)
@@ -1166,7 +1233,7 @@ mod tests {
     use crate::fault::{FaultKind, FaultSchedule, FaultSpec, ScopedFaults, Trigger};
     use crate::replay::{record_point, replay_trace};
     use virtclust_trace::Codec;
-    use virtclust_uarch::{ArchReg, RegionBuilder};
+    use virtclust_uarch::{ArchReg, RegionBuilder, SteerHint};
     use virtclust_workloads::spec2000_points;
 
     fn point(name: &str) -> TracePoint {
@@ -1188,19 +1255,46 @@ mod tests {
     fn point_jobs_match_run_point_bit_for_bit() {
         let machine = MachineConfig::paper_2cluster();
         let p = point("gzip-1");
-        let jobs: Vec<EvalJob> = Configuration::table3()
-            .into_iter()
-            .map(|config| EvalJob::Point {
-                point: p.clone(),
-                config,
-                uops: 1_500,
+        // Two more points under the same name: the compile cache must
+        // tell them apart by seed and by every parameter, not the name.
+        let reseeded = TracePoint {
+            program_seed: p.program_seed + 1,
+            ..p.clone()
+        };
+        let mut reparam = p.clone();
+        reparam.params.cross_links += 0.125;
+        let points = [p.clone(), reseeded, reparam];
+        let jobs: Vec<EvalJob> = points
+            .iter()
+            .flat_map(|p| {
+                Configuration::table3().map(|config| EvalJob::Point {
+                    point: p.clone(),
+                    config,
+                    uops: 1_500,
+                })
             })
             .collect();
         let outcomes = EvalDriver::new(&machine).threads(1).run(&jobs);
+        let mut live = Vec::new();
         for (job, outcome) in jobs.iter().zip(&outcomes) {
-            let live = run_point(&p, job.config(), &machine, 1_500);
-            assert_eq!(&live, outcome.stats.as_ref().unwrap(), "{}", job.label(2));
+            let EvalJob::Point { point, config, .. } = job else {
+                unreachable!()
+            };
+            live.push(run_point(point, config, &machine, 1_500));
+            assert_eq!(
+                live.last().unwrap(),
+                outcome.stats.as_ref().unwrap(),
+                "{} (seed {}, cross_links {})",
+                job.label(2),
+                point.program_seed,
+                point.params.cross_links
+            );
         }
+        // The three points really are different programs: a cache keyed
+        // on the name alone would fail the loop above.
+        let per_point: Vec<&[SimStats]> = live.chunks(5).collect();
+        assert_ne!(per_point[0], per_point[1], "program_seed changes the run");
+        assert_ne!(per_point[0], per_point[2], "params change the run");
     }
 
     #[test]
@@ -1229,6 +1323,40 @@ mod tests {
     }
 
     #[test]
+    fn trace_reader_cache_stays_bounded_and_matches_replay_trace() {
+        let machine = MachineConfig::paper_2cluster();
+        let p = point("gzip-1");
+        let paths: Vec<PathBuf> = (0..MAX_OPEN_TRACES + 3)
+            .map(|i| tmp(&format!("cap-{i}.vctb")))
+            .collect();
+        for (i, path) in paths.iter().enumerate() {
+            record_point(&p, 100 + i as u64, Codec::Binary, path).unwrap();
+        }
+        // One worker replays every file under a scheme without and one
+        // with a pass, then the first files again after they were
+        // evicted.
+        let compiled = CompileCache::default();
+        let mut worker = Worker::new(&machine, &compiled);
+        let revisit = paths.iter().take(3);
+        for path in paths.iter().chain(revisit) {
+            for config in [Configuration::Op, Configuration::Rhop] {
+                let job = EvalJob::Trace {
+                    path: path.clone(),
+                    config,
+                    limits: RunLimits::unlimited(),
+                };
+                let got = worker.run_job(&job, None, None, Instant::now()).unwrap();
+                let direct = replay_trace(path, &config, &machine, &RunLimits::unlimited());
+                assert_eq!(got, direct.unwrap(), "{}", job.label(2));
+                assert!(worker.traces.len() <= MAX_OPEN_TRACES);
+            }
+        }
+        for path in &paths {
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    #[test]
     fn kernel_jobs_match_a_manual_expander_run() {
         let machine = MachineConfig::paper_2cluster();
         let r = ArchReg::int;
@@ -1241,6 +1369,11 @@ mod tests {
                 .branch(r(2))
                 .build(),
         );
+        // Stale hints from some earlier pass: cleared before VC's pass
+        // runs, and never part of the compile cache's key.
+        for inst in &mut program.regions[0].insts {
+            inst.hint = SteerHint::Static { cluster: 1 };
+        }
         let params = KernelParams::base_int();
         let config = Configuration::Vc { num_vcs: 2 };
         let job = EvalJob::Kernel {
@@ -1250,7 +1383,10 @@ mod tests {
             config,
             uops: 1_200,
         };
-        let outcomes = EvalDriver::new(&machine).run(std::slice::from_ref(&job));
+        // One worker, the same job twice: a miss, then a hit.
+        let outcomes = EvalDriver::new(&machine)
+            .threads(1)
+            .run(&[job.clone(), job]);
         let manual = {
             let mut annotated = program.clone();
             annotated.clear_hints();
@@ -1266,7 +1402,8 @@ mod tests {
                 &RunLimits::uops(1_200),
             )
         };
-        assert_eq!(&manual, outcomes[0].stats.as_ref().unwrap());
+        assert_eq!(&manual, outcomes[0].stats.as_ref().unwrap(), "miss");
+        assert_eq!(&manual, outcomes[1].stats.as_ref().unwrap(), "hit");
     }
 
     #[test]

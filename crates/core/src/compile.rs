@@ -1,0 +1,220 @@
+//! Compile once per key: the drain-wide cache of compiler-pass hints.
+//!
+//! In the paper the software half of every steering scheme is a
+//! compile-time pass that runs once per program (Fig. 2: critical paths,
+//! then the DDG partition into virtual clusters, then chain leaders). A
+//! batch or a service drain runs the same (program, scheme) pair many
+//! times, so [`EvalDriver::drain_source`](crate::EvalDriver::drain_source)
+//! gives its workers one [`CompileCache`]: the first job of a key runs the
+//! pass, and every later job in the drain reuses what it produced.
+//!
+//! The cache stores only what a pass produces — one [`SteerHint`] per
+//! static instruction (2 bytes, against 12 for a `StaticInst`) — plus one
+//! hint-free [`Program`] per suite point, so `build_program` runs once
+//! too. Every job, hit or miss, runs its hint-free program with the cached
+//! hints written in; a miss only computes the hints, through [`run_pass`],
+//! the function [`run_point_on`](crate::run_point_on) and replay use. So
+//! if a pass ever wrote anything but hints, every cached run would diverge
+//! from `run_point`, not only the hits.
+//!
+//! A key covers every input of its value within one drain, whose machine
+//! is fixed: a suite point by everything `build_program` reads (name,
+//! `program_seed` and `params`, compared in full), a kernel or trace by
+//! its hint-free content (hashed once with the std hasher, since those
+//! programs come from client-named files, and compared in full), and the
+//! [`Configuration`]. Configurations without a pass store no hints. The
+//! lock is never held while compiling: two workers that miss the same key
+//! may both compile it, and the first insert wins.
+
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use virtclust_compiler::SoftwarePass;
+use virtclust_uarch::{MachineConfig, Program, SteerHint};
+use virtclust_workloads::{KernelParams, TracePoint};
+
+use crate::experiment::Configuration;
+
+/// Most entries (point programs plus hint arrays) one drain's cache holds
+/// before it clears. The suite's working set is 40 programs plus 40 × 3
+/// hint arrays (OB, RHOP and one VC width): 160 entries, ~400 KiB. 256
+/// leaves room for the corpus kernels and traces, or for a second VC
+/// width. The largest suite program has 1 588 instructions (19 KiB, its
+/// hints 3.1 KiB), so suite keys alone stay under 6 MiB. A kernel or trace
+/// entry also keeps its hint-free program, whose size the decoders do not
+/// bound: there the worst case is 256 times the largest program a client
+/// named.
+const MAX_ENTRIES: usize = 256;
+
+/// Apply `config`'s compiler pass to `program` for `machine`: clear every
+/// steering hint, then annotate. The one compile step that
+/// [`run_point_on`](crate::run_point_on), replay and the cache's misses
+/// share.
+pub(crate) fn run_pass(program: &mut Program, config: &Configuration, machine: &MachineConfig) {
+    config
+        .software_pass(machine.num_clusters as u32)
+        .apply(program, &machine.latencies);
+}
+
+/// A suite point by everything `build_program` reads. Hashing covers the
+/// name and seed only (no formatting, no float bits); equality compares
+/// the parameters too. `build_program` rejects non-finite parameters
+/// before a key is ever stored, so equality is reflexive on every key.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PointKey {
+    name: String,
+    program_seed: u64,
+    params: KernelParams,
+}
+
+impl PointKey {
+    pub(crate) fn of(point: &TracePoint) -> Self {
+        PointKey {
+            name: point.name.clone(),
+            program_seed: point.program_seed,
+            params: point.params,
+        }
+    }
+}
+
+impl Eq for PointKey {}
+
+impl Hash for PointKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
+        self.program_seed.hash(state);
+    }
+}
+
+/// What a pass ran over: a suite point, or a kernel or trace program by
+/// its hint-free content.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Source {
+    Point(PointKey),
+    Program(ContentKey),
+}
+
+impl Source {
+    /// The key of a hint-free kernel or trace program whose
+    /// [`content_hash`](CompileCache::content_hash) is `hash`.
+    pub(crate) fn program(hash: u64, program: Arc<Program>) -> Self {
+        Source::Program(ContentKey { hash, program })
+    }
+}
+
+/// A hint-free program and its content hash, taken once by
+/// [`CompileCache::content_hash`]. The map hashes only that `u64`;
+/// equality compares the programs in full (`Arc`'s `==` tries the pointer
+/// first).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ContentKey {
+    hash: u64,
+    program: Arc<Program>,
+}
+
+impl Hash for ContentKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+#[derive(Debug, Default)]
+struct Tables {
+    programs: HashMap<PointKey, Arc<Program>>,
+    hints: HashMap<(Source, Configuration), Arc<[SteerHint]>>,
+}
+
+impl Tables {
+    /// Make room for one more entry: past [`MAX_ENTRIES`], start over.
+    fn reserve_one(&mut self) {
+        if self.programs.len() + self.hints.len() >= MAX_ENTRIES {
+            self.programs.clear();
+            self.hints.clear();
+        }
+    }
+}
+
+/// One drain's compile cache, shared by its workers. Allocates nothing
+/// until the first insert.
+#[derive(Debug, Default)]
+pub(crate) struct CompileCache {
+    content: RandomState,
+    tables: Mutex<Tables>,
+}
+
+impl CompileCache {
+    /// The tables, recovered from a poisoned lock: every critical section
+    /// is a lookup or an insert, which leaves the maps consistent.
+    fn tables(&self) -> MutexGuard<'_, Tables> {
+        self.tables.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The content key of a hint-free kernel or trace program. Hashing a
+    /// whole program costs most of an OB pass (61 µs against 85 µs for
+    /// gzip-1's 394 instructions on a 2-core Xeon; `==` takes 4 µs), so
+    /// callers take it only for configurations with a pass, at most once
+    /// per job.
+    pub(crate) fn content_hash(&self, program: &Program) -> u64 {
+        self.content.hash_one(program)
+    }
+
+    /// `point`'s hint-free program, built once per drain.
+    pub(crate) fn point_program(&self, key: &PointKey, point: &TracePoint) -> Arc<Program> {
+        if let Some(program) = self.tables().programs.get(key) {
+            return Arc::clone(program);
+        }
+        let mut program = point.build_program();
+        // `build_program` grows its regions by pushing; a resident copy
+        // should not keep up to half of each as spare capacity.
+        for region in &mut program.regions {
+            region.insts.shrink_to_fit();
+        }
+        let program = Arc::new(program);
+        let mut tables = self.tables();
+        tables.reserve_one();
+        Arc::clone(tables.programs.entry(key.clone()).or_insert(program))
+    }
+
+    /// `base`, a hint-free program, annotated for `config`: `base` itself
+    /// when the configuration has no pass, otherwise a copy carrying the
+    /// hints cached under (`source()`, `config`), which the first miss
+    /// computes.
+    pub(crate) fn annotate<'p>(
+        &self,
+        source: impl FnOnce() -> Source,
+        base: &'p Program,
+        config: &Configuration,
+        machine: &MachineConfig,
+    ) -> Cow<'p, Program> {
+        if matches!(
+            config.software_pass(machine.num_clusters as u32),
+            SoftwarePass::None
+        ) {
+            return Cow::Borrowed(base);
+        }
+        let key = (source(), *config);
+        let cached = self.tables().hints.get(&key).map(Arc::clone);
+        let hints = cached.unwrap_or_else(|| {
+            let mut annotated = base.clone();
+            run_pass(&mut annotated, config, machine);
+            let hints: Arc<[SteerHint]> = annotated
+                .regions
+                .iter()
+                .flat_map(|r| r.insts.iter().map(|i| i.hint))
+                .collect();
+            let mut tables = self.tables();
+            tables.reserve_one();
+            Arc::clone(tables.hints.entry(key).or_insert(hints))
+        });
+        let mut program = base.clone();
+        debug_assert_eq!(hints.len(), program.static_len());
+        let insts = program.regions.iter_mut().flat_map(|r| r.insts.iter_mut());
+        for (inst, &hint) in insts.zip(hints.iter()) {
+            inst.hint = hint;
+        }
+        Cow::Owned(program)
+    }
+}

@@ -7,8 +7,10 @@ use virtclust_steer::{ModN, OccupancyAware, OneCluster, StaticFollow, VcMapper};
 use virtclust_uarch::MachineConfig;
 use virtclust_workloads::TracePoint;
 
+use crate::compile::run_pass;
+
 /// A steering configuration (paper Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Configuration {
     /// Occupancy-aware hardware-only steering — the baseline all slowdowns
     /// are measured against.
@@ -106,10 +108,12 @@ pub fn run_point(
     run_point_on(&mut SimSession::new(machine), point, config, machine, uops)
 }
 
-/// [`run_point`] on a caller-provided session — the batch engine's path.
-/// This is the single definition of what a point cell does; `run_point`
-/// is this over a fresh session, and sessions are bit-identical to fresh
-/// machines by contract, so the two entry points cannot diverge.
+/// [`run_point`] on a caller-provided session: the uncached reference for
+/// a point cell. It builds the program and runs the pass on every call;
+/// the batch engine runs the same steps once per key in a drain and
+/// reuses them, and its tests hold the two bit-identical.
+/// `run_point` is this over a fresh session, and sessions are
+/// bit-identical to fresh machines by contract.
 pub fn run_point_on(
     session: &mut SimSession,
     point: &TracePoint,
@@ -118,9 +122,7 @@ pub fn run_point_on(
     uops: u64,
 ) -> SimStats {
     let mut program = point.build_program();
-    config
-        .software_pass(machine.num_clusters as u32)
-        .apply(&mut program, &machine.latencies);
+    run_pass(&mut program, config, machine);
     let mut trace = point.expander(&program);
     let mut policy = config.make_policy();
     session.simulate(machine, &mut trace, policy.as_mut(), &RunLimits::uops(uops))

@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+mod compile;
 pub mod experiment;
 pub mod fault;
 pub mod figures;

@@ -44,6 +44,7 @@ use virtclust_trace::{Codec, Result, TraceReader, TraceWriter};
 use virtclust_uarch::{MachineConfig, Program};
 use virtclust_workloads::TracePoint;
 
+use crate::compile::run_pass;
 use crate::experiment::Configuration;
 
 // Referenced by the module docs.
@@ -135,20 +136,16 @@ pub fn replay_trace_observed(
     Ok(stats)
 }
 
-/// The replay preparation step, shared with the batch engine
-/// ([`crate::batch::EvalDriver`]): re-annotate a trace's (or kernel's)
-/// program for `config` by clearing stale hints and running the
-/// configuration's compiler pass — exactly what [`run_point`] does to a
-/// freshly generated program.
-pub(crate) fn annotate_for_replay(
+/// The replay preparation step: re-annotate a trace's program for
+/// `config` by clearing stale hints and running the configuration's
+/// compiler pass, through the same [`run_pass`] that [`run_point`] applies
+/// to a freshly generated program.
+fn annotate_for_replay(
     mut program: Program,
     config: &Configuration,
     machine: &MachineConfig,
 ) -> Program {
-    program.clear_hints();
-    config
-        .software_pass(machine.num_clusters as u32)
-        .apply(&mut program, &machine.latencies);
+    run_pass(&mut program, config, machine);
     program
 }
 

@@ -22,6 +22,7 @@
 //! run without shipping every counter.
 
 use std::io::{Read, Write};
+use std::sync::OnceLock;
 
 use virtclust_core::{Configuration, EvalJob};
 use virtclust_sim::{RunLimits, SimStats};
@@ -29,7 +30,7 @@ use virtclust_trace::frame::{
     put_bytes, put_u64, read_preamble, take_string, write_frame, write_preamble,
 };
 use virtclust_trace::{import_kernel_file, Result as TraceResult, TraceError};
-use virtclust_workloads::{spec2000_points, KernelParams};
+use virtclust_workloads::{spec2000_points, KernelParams, TracePoint};
 
 /// Connection magic, both directions.
 pub const MAGIC: &[u8; 4] = b"VCSV";
@@ -283,12 +284,16 @@ pub fn resolve_spec(spec: &JobSpec) -> Result<EvalJob, String> {
         JobSpec::Point { name, scheme, uops } => {
             let config =
                 parse_scheme(scheme).ok_or_else(|| format!("unknown scheme '{scheme}'"))?;
-            let point = spec2000_points()
-                .into_iter()
+            // Built once per process: every reader thread resolves its
+            // point submits against the same 40 points.
+            static SUITE: OnceLock<Vec<TracePoint>> = OnceLock::new();
+            let point = SUITE
+                .get_or_init(spec2000_points)
+                .iter()
                 .find(|p| p.name == *name)
                 .ok_or_else(|| format!("unknown suite point '{name}'"))?;
             Ok(EvalJob::Point {
-                point,
+                point: point.clone(),
                 config,
                 uops: *uops,
             })

@@ -7,7 +7,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use virtclust_core::{EvalDriver, EvalJob, ResilientOptions};
 use virtclust_svc::wire::{encode_client, recv_preamble, send_preamble};
@@ -397,8 +397,42 @@ fn hostile_clients_neither_stop_nor_skew_the_daemon() {
     );
     assert!(closed_by_daemon(oversized), "oversized frame not refused");
 
+    // Idle clients past the connection cap (64): open handshaked ones
+    // until the daemon closes one without greeting it, which must happen
+    // before 65 are open.
+    let mut idle = Vec::new();
+    loop {
+        assert!(idle.len() < 65, "65 idle connections accepted");
+        let mut s = UnixStream::connect(&sock).unwrap();
+        s.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
+        match s.read_exact(&mut [0u8; 5]) {
+            Ok(()) => {
+                send_preamble(&mut s).unwrap();
+                idle.push(s);
+            }
+            Err(e) => {
+                assert!(
+                    !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "connection {} neither greeted nor closed",
+                    idle.len() + 1
+                );
+                break;
+            }
+        }
+    }
+    // The daemon retires the idle connections as their readers see EOF;
+    // until then a new client may still be turned away.
+    drop(idle);
+    let give_up = Instant::now() + RECV_TIMEOUT;
+
     // A well-behaved client, one job at a time to stay inside the quota.
-    let mut client = Client::connect_unix(&sock).unwrap();
+    let mut client = loop {
+        match Client::connect_unix(&sock) {
+            Ok(client) => break client,
+            Err(_) if Instant::now() < give_up => std::thread::sleep(Duration::from_millis(10)),
+            Err(e) => panic!("daemon still full after the idle clients left: {e}"),
+        }
+    };
     for (i, (spec, want)) in specs.iter().zip(&expected).enumerate() {
         client
             .submit(&Submit {

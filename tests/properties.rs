@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use virtclust::compiler::{
     identify_chains, GreedyPlacer, PlacerConfig, RhopConfig, RhopPartitioner,
 };
-use virtclust::core::Configuration;
+use virtclust::core::{replay_trace, run_point, Configuration, EvalDriver, EvalJob};
 use virtclust::ddg::{Criticality, Ddg};
 use virtclust::sim::{
     simulate, LoadCheck, Lsq, Machine, RunLimits, SimSession, SteerDecision, SteerView,
@@ -18,6 +18,7 @@ use virtclust::uarch::{
     ArchReg, DynUop, LatencyModel, MachineConfig, OpClass, Program, Region, SliceTrace, StaticInst,
     SteerHint, TraceSource, VecTrace,
 };
+use virtclust::workloads::{spec2000_points, KernelParams, TraceExpander, TracePoint};
 
 /// Strategy: a random static instruction over a small register window.
 fn inst_strategy() -> impl Strategy<Value = StaticInst> {
@@ -758,6 +759,106 @@ proptest! {
                         config.name(clusters as u32), clusters, skip
                     );
                 }
+            }
+        }
+    }
+}
+
+/// A kernel job's uncached reference: clear the program's hints, run the
+/// configuration's pass by hand, expand and simulate on a fresh machine.
+fn hand_annotated_kernel_run(
+    program: &Program,
+    seed: u64,
+    config: &Configuration,
+    machine: &MachineConfig,
+    uops: u64,
+) -> virtclust::sim::SimStats {
+    let mut annotated = program.clone();
+    annotated.clear_hints();
+    config
+        .software_pass(machine.num_clusters as u32)
+        .apply(&mut annotated, &machine.latencies);
+    let mut trace = TraceExpander::new(&annotated, &KernelParams::base_int(), seed);
+    let mut policy = config.make_policy();
+    simulate(machine, &mut trace, policy.as_mut(), &RunLimits::uops(uops))
+}
+
+proptest! {
+    // Each case drains its job list three times, and a job runs a few
+    // hundred micro-ops plus, on a miss, a compiler pass.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // The batch engine compiles once per (source, configuration) key in a
+    // drain and reuses the pass's hints. Differential oracle: every job
+    // of a random list, drained by 1, 2 and 8 workers, must equal its
+    // uncached reference — `run_point`, `replay_trace`, or a
+    // hand-annotated expander run. Each list runs twice over, so keys
+    // repeat. The pool holds two suite points under one name (they
+    // differ in `program_seed`), two kernels with the same instructions
+    // under different stale hints (one key: hints are cleared first), a
+    // second kernel program, and a text and a binary stored trace.
+    #[test]
+    fn compile_cache_is_bit_identical_to_uncached_runs(
+        region in region_strategy(24),
+        stale in prop::collection::vec(hint_strategy(), 24..25),
+        other in region_strategy(12),
+        picks in prop::collection::vec((0usize..7, 0usize..5, 150u64..450), 3..9),
+    ) {
+        let machine = MachineConfig::paper_2cluster();
+        let gzip = spec2000_points().into_iter().find(|p| p.name == "gzip-1").expect("suite point");
+        let reseeded = TracePoint { program_seed: gzip.program_seed + 1, ..gzip.clone() };
+        let kernel = |region: &Region, hints: &[SteerHint]| {
+            let mut program = Program::new("prop-kernel");
+            program.add_region(region.clone());
+            for (inst, &hint) in program.regions[0].insts.iter_mut().zip(hints) {
+                inst.hint = hint;
+            }
+            program
+        };
+        let kernels = [
+            kernel(&region, &stale),
+            kernel(&region, &[]),
+            kernel(&other, &stale),
+        ];
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/results/traces/");
+        let traces = [format!("{corpus}gzip-1.vct"), format!("{corpus}galgel.vctb")];
+
+        let mut jobs = Vec::new();
+        let mut reference = Vec::new();
+        for &(source, scheme, uops) in &picks {
+            let config = Configuration::table3()[scheme];
+            let (job, direct) = match source {
+                0 | 1 => {
+                    let point = if source == 0 { &gzip } else { &reseeded };
+                    let job = EvalJob::Point { point: point.clone(), config, uops };
+                    (job, run_point(point, &config, &machine, uops))
+                }
+                2..=4 => {
+                    let program = kernels[source - 2].clone();
+                    let direct = hand_annotated_kernel_run(&program, uops, &config, &machine, uops);
+                    let params = KernelParams::base_int();
+                    (EvalJob::Kernel { program, params, seed: uops, config, uops }, direct)
+                }
+                _ => {
+                    let path = &traces[source - 5];
+                    let limits = RunLimits::uops(uops);
+                    let direct = replay_trace(path, &config, &machine, &limits).expect("corpus");
+                    (EvalJob::Trace { path: path.into(), config, limits }, direct)
+                }
+            };
+            jobs.push(job);
+            reference.push(direct);
+        }
+        jobs.extend_from_within(..);
+        reference.extend_from_within(..);
+
+        for threads in [1, 2, 8] {
+            let outcomes = EvalDriver::new(&machine).threads(threads).run(&jobs);
+            for (i, (outcome, want)) in outcomes.iter().zip(&reference).enumerate() {
+                prop_assert_eq!(
+                    outcome.stats.as_ref().expect("job runs"), want,
+                    "job {} ({}) with {} workers", i, jobs[i].label(2), threads
+                );
             }
         }
     }
