@@ -28,27 +28,19 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use virtclust_bench::uop_budget;
+use virtclust_bench::{uop_budget, Cli};
 use virtclust_core::{EvalDriver, EvalJob, ResilientOptions};
 use virtclust_obs::Log2Hist;
 use virtclust_svc::{resolve_spec, stats_digest, Client, JobSpec, Priority, ServerMsg, Submit};
 use virtclust_uarch::MachineConfig;
 
-fn value_of<'a>(argv: &'a [String], flag: &str) -> Option<&'a String> {
-    argv.iter().position(|a| a == flag).map(|i| {
-        argv.get(i + 1).unwrap_or_else(|| {
-            eprintln!("loadgen: {flag} needs a value");
-            std::process::exit(2);
-        })
-    })
-}
-
-fn parse_or_exit<T: std::str::FromStr>(v: &str, flag: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("loadgen: {flag}: cannot parse {v}");
-        std::process::exit(2);
-    })
-}
+const CLI: Cli = Cli {
+    usage: "usage: loadgen (--unix PATH | --tcp ADDR) [--jobs N] [--uops N] [--traces DIR]\n               \
+            [--rate R] [--priority-mix] [--verify] [--shutdown]",
+    switches: "--priority-mix --verify --shutdown",
+    values: "--unix --tcp --jobs --uops --traces --rate",
+    operands: false,
+};
 
 /// The deterministic mixed schedule: mostly suite points across Table 3
 /// schemes, with every tenth job a trace replay and every tenth a kernel
@@ -128,23 +120,19 @@ fn direct_digests(submits: &[Submit]) -> HashMap<u64, Option<u64>> {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let jobs: u64 = value_of(&argv, "--jobs").map_or(10_000, |v| parse_or_exit(v, "--jobs"));
-    let uops =
-        value_of(&argv, "--uops").map_or_else(|| uop_budget(2_000), |v| parse_or_exit(v, "--uops"));
-    let traces = value_of(&argv, "--traces").map_or("results/traces", String::as_str);
-    let rate: f64 = value_of(&argv, "--rate").map_or(0.0, |v| parse_or_exit(v, "--rate"));
-    let priority_mix = argv.iter().any(|a| a == "--priority-mix");
-    let verify = argv.iter().any(|a| a == "--verify");
-    let shutdown = argv.iter().any(|a| a == "--shutdown");
+    let args = CLI.parse();
+    let jobs: u64 = args.value("--jobs").unwrap_or(10_000);
+    let uops = args.value("--uops").unwrap_or_else(|| uop_budget(2_000));
+    let traces = args.str("--traces").unwrap_or("results/traces");
+    let rate: f64 = args.value("--rate").unwrap_or(0.0);
+    let priority_mix = args.has("--priority-mix");
+    let verify = args.has("--verify");
+    let shutdown = args.has("--shutdown");
 
-    let client = match (value_of(&argv, "--unix"), value_of(&argv, "--tcp")) {
+    let client = match (args.str("--unix"), args.str("--tcp")) {
         (Some(path), None) => Client::connect_unix(path),
         (None, Some(addr)) => Client::connect_tcp(addr),
-        _ => {
-            eprintln!("loadgen: exactly one of --unix PATH or --tcp ADDR is required");
-            std::process::exit(2);
-        }
+        _ => args.fail("exactly one of --unix PATH or --tcp ADDR is required"),
     }
     .unwrap_or_else(|e| {
         eprintln!("loadgen: cannot connect: {e}");

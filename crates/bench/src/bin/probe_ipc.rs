@@ -1,6 +1,6 @@
 //! Diagnostic probe: per-point IPC and bottleneck stats. Not part of the
-//! paper reproduction; used to calibrate the workload suite (documented in
-//! DESIGN.md) and to pin perf baselines.
+//! paper reproduction; used to calibrate the workload suite (parameter
+//! rationale in `virtclust_workloads::spec`) and to pin perf baselines.
 //!
 //! Two output modes:
 //!
@@ -37,8 +37,10 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use virtclust_bench::{resilience_from_args, threads, uop_budget, Resilience};
-use virtclust_core::{run_point, BatchMetrics, Configuration, EvalDriver, EvalJob};
+use virtclust_bench::{threads, uop_budget, Cli, RESILIENCE_FLAGS};
+use virtclust_core::{
+    run_point, BatchMetrics, Configuration, EvalDriver, EvalJob, ResilientOptions,
+};
 use virtclust_sim::{SimStats, StallReason};
 use virtclust_uarch::MachineConfig;
 use virtclust_workloads::spec2000_points;
@@ -114,7 +116,7 @@ fn json_mode(
     machine: &MachineConfig,
     point_filter: Option<&str>,
     metrics_out: Option<&Path>,
-    resilience: &Resilience,
+    resilience: Option<ResilientOptions>,
 ) {
     let mut points = spec2000_points();
     if let Some(name) = point_filter {
@@ -141,12 +143,14 @@ fn json_mode(
     // With resilience/chaos in play, the degraded-completion path: one
     // erroring/panicking cell is one error row, the process stays alive
     // and exits 0 with a BatchReport summary on stderr.
-    let (outcomes, metrics) = if resilience.active() {
-        let (outcomes, report) = driver.run_resilient(&jobs, &resilience.opts, |_, _| {});
-        eprintln!("probe_ipc: {}", report.summary());
-        (outcomes, report.metrics)
-    } else {
-        driver.run_with_metrics(&jobs, |_, _| {})
+    let resilient = resilience.is_some();
+    let (outcomes, metrics) = match resilience {
+        Some(opts) => {
+            let (outcomes, report) = driver.run_resilient(&jobs, &opts, |_, _| {});
+            eprintln!("probe_ipc: {}", report.summary());
+            (outcomes, report.metrics)
+        }
+        None => driver.run_with_metrics(&jobs, |_, _| {}),
     };
     let wall = start.elapsed();
     if let Some(path) = metrics_out {
@@ -174,7 +178,7 @@ fn json_mode(
                         outcome.uops_per_sec(),
                     );
                 }
-                Err(e) if resilience.active() => {
+                Err(e) if resilient => {
                     println!(
                         "{{\"point\":\"{}\",\"scheme\":\"{scheme}\",\"error\":\"{}\"}}",
                         point.name,
@@ -230,60 +234,27 @@ fn table_mode(uops: u64, machine: &MachineConfig) {
     }
 }
 
-/// Parse `--clusters 2|4|8` (default 2) from `argv`, returning the machine
-/// preset. A `--clusters` with a missing or unsupported value is an error,
-/// not a silent 2-cluster fallback.
-fn machine_from_args(argv: &[String]) -> MachineConfig {
-    let Some(i) = argv.iter().position(|a| a == "--clusters") else {
-        return MachineConfig::paper_2cluster();
-    };
-    argv.get(i + 1)
-        .and_then(|v| v.parse().ok())
-        .and_then(virtclust_bench::cluster_preset)
-        .unwrap_or_else(|| {
-            eprintln!(
-                "probe_ipc: --clusters must be 2, 4 or 8, got {}",
-                argv.get(i + 1).map_or("nothing", String::as_str)
-            );
-            std::process::exit(2);
-        })
-}
+const CLI: Cli = Cli {
+    usage: "usage: probe_ipc [--clusters 2|4|8]\n       \
+            probe_ipc --json [--clusters 2|4|8] [--point NAME] [--metrics-out FILE]\n                 \
+            [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]",
+    switches: "--json",
+    values: "--clusters --point --metrics-out --retries --deadline-ms --chaos",
+    operands: false,
+};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let json = argv.iter().any(|a| a == "--json");
+    let args = CLI.parse();
+    let machine = args.machine();
+    let resilience = args.resilience();
     let uops = uop_budget(20_000);
-    let machine = machine_from_args(&argv);
-    let resilience = resilience_from_args(&argv, "probe_ipc");
-    let point_filter = argv.iter().position(|a| a == "--point").map(|i| {
-        argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("probe_ipc: --point needs a suite point name");
-            std::process::exit(2);
-        })
-    });
-    let metrics_out = argv.iter().position(|a| a == "--metrics-out").map(|i| {
-        argv.get(i + 1)
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                eprintln!("probe_ipc: --metrics-out needs a file path");
-                std::process::exit(2);
-            })
-    });
-    if json {
-        json_mode(
-            uops,
-            &machine,
-            point_filter.as_deref(),
-            metrics_out.as_deref(),
-            &resilience,
-        );
+    let point_filter = args.str("--point");
+    let metrics_out = args.str("--metrics-out").map(Path::new);
+    if args.has("--json") {
+        json_mode(uops, &machine, point_filter, metrics_out, resilience);
     } else {
-        if point_filter.is_some() || metrics_out.is_some() || resilience.flags {
-            eprintln!(
-                "probe_ipc: --point/--metrics-out/--retries/--deadline-ms/--chaos only apply to --json mode"
-            );
-            std::process::exit(2);
-        }
+        args.only_in("--json mode", "--point --metrics-out");
+        args.only_in("--json mode", RESILIENCE_FLAGS);
         table_mode(uops, &machine);
     }
 }

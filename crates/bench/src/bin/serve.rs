@@ -20,67 +20,54 @@
 //! `{"daemon":"serve","accepted":…,"rejected":…,"completed":…}` — the CI
 //! smoke job asserts exact accounting against `loadgen`'s view.
 
-use virtclust_bench::{resilience_from_args, threads};
+use virtclust_bench::{threads, Cli};
 use virtclust_svc::ServerBuilder;
-use virtclust_uarch::MachineConfig;
 
-fn value_of<'a>(argv: &'a [String], flag: &str) -> Option<&'a String> {
-    argv.iter().position(|a| a == flag).map(|i| {
-        argv.get(i + 1)
-            .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-    })
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("serve: {msg}");
-    eprintln!("usage: serve (--unix PATH | --tcp ADDR) [--clusters 2|4|8] [--queue-cap N] [--quota N] [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]");
-    std::process::exit(2);
-}
+const CLI: Cli = Cli {
+    usage: "usage: serve (--unix PATH | --tcp ADDR) [--clusters 2|4|8] [--queue-cap N] [--quota N]\n             \
+            [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]",
+    switches: "",
+    values: "--unix --tcp --clusters --queue-cap --quota --retries --deadline-ms --chaos",
+    operands: false,
+};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let machine = match value_of(&argv, "--clusters") {
-        None => MachineConfig::paper_2cluster(),
-        Some(v) => v
-            .parse()
-            .ok()
-            .and_then(virtclust_bench::cluster_preset)
-            .unwrap_or_else(|| usage(&format!("--clusters must be 2, 4 or 8, got {v}"))),
-    };
-    let resilience = resilience_from_args(&argv, "serve");
-    let parse_n = |flag: &str| {
-        value_of(&argv, flag).map(|v| {
-            v.parse::<usize>()
-                .unwrap_or_else(|_| usage(&format!("{flag} must be a count, got {v}")))
-        })
-    };
+    // Every usage error exits 2 here, before a worker starts or a socket
+    // is bound.
+    let args = CLI.parse();
+    let machine = args.machine();
+    let (unix, tcp) = (args.str("--unix"), args.str("--tcp"));
+    if unix.is_some() == tcp.is_some() {
+        args.fail("exactly one of --unix PATH or --tcp ADDR is required");
+    }
+    let queue_cap = args.value("--queue-cap");
+    let quota = args.value("--quota");
     let mut builder = ServerBuilder::new(&machine)
         .threads(threads())
-        .options(resilience.opts);
-    if let Some(n) = parse_n("--queue-cap") {
+        .options(args.resilience().unwrap_or_default());
+    if let Some(n) = queue_cap {
         builder = builder.queue_cap(n);
     }
-    if let Some(n) = parse_n("--quota") {
+    if let Some(n) = quota {
         builder = builder.client_quota(n);
     }
     let mut server = builder.start();
 
-    match (value_of(&argv, "--unix"), value_of(&argv, "--tcp")) {
-        (Some(path), None) => {
-            if let Err(e) = server.serve_unix(path) {
-                eprintln!("serve: cannot listen on {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("serve: listening on unix socket {path}");
+    if let Some(path) = unix {
+        if let Err(e) = server.serve_unix(path) {
+            eprintln!("serve: cannot listen on {path}: {e}");
+            std::process::exit(1);
         }
-        (None, Some(addr)) => match server.serve_tcp(addr) {
+        eprintln!("serve: listening on unix socket {path}");
+    } else {
+        let addr = tcp.expect("exactly one listener flag");
+        match server.serve_tcp(addr) {
             Ok(bound) => eprintln!("serve: listening on tcp {bound}"),
             Err(e) => {
                 eprintln!("serve: cannot listen on {addr}: {e}");
                 std::process::exit(1);
             }
-        },
-        _ => usage("exactly one of --unix PATH or --tcp ADDR is required"),
+        }
     }
 
     // Runs until a client's Shutdown frame stops the scheduler; then the

@@ -62,23 +62,33 @@
 //! to 8. Results are also written to `results/throughput.md`.
 
 use std::fmt::Write as _;
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use virtclust_bench::{
-    results_dir, threads, try_resilience_from_args, uop_budget, write_result, Resilience,
-};
-use virtclust_core::{Configuration, EvalDriver, EvalJob};
+use virtclust_bench::{results_dir, threads, uop_budget, write_result, Cli, RESILIENCE_FLAGS};
+use virtclust_core::{Configuration, EvalDriver, EvalJob, ResilientOptions};
 use virtclust_obs::{ChromeTrace, MemSink, Shared};
 use virtclust_sim::{simulate, RunLimits, SimSession, SimStats, StageTimers, StallReason};
 use virtclust_trace::TraceReader;
 use virtclust_uarch::{DynUop, MachineConfig, SliceTrace, TraceSource};
 use virtclust_workloads::spec2000_points;
 
+const CLI: Cli = Cli {
+    usage: "usage: throughput [--uops N] [--runs R] [--clusters 2|4|8] [--point NAME]\n                  \
+            [--trace FILE] [--stages] [--timeline FILE] [--observe]\n                  \
+            [--every K] [--json-out FILE]\n                  \
+            [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]",
+    switches: "--stages --observe",
+    values: "--uops --runs --clusters --point --trace --timeline --every --json-out \
+             --retries --deadline-ms --chaos",
+    operands: false,
+};
+
 struct Args {
     uops: u64,
     runs: u64,
-    clusters: usize,
+    machine: MachineConfig,
     point: String,
     trace: Option<String>,
     stages: bool,
@@ -86,81 +96,39 @@ struct Args {
     every: u64,
     observe: bool,
     json_out: Option<String>,
-    /// Any of `--retries/--deadline-ms/--chaos` was given (trace mode
-    /// only; values are parsed by `try_resilience_from_args`).
-    resilient: bool,
+    /// Batch resilience (trace mode only).
+    resilience: Option<ResilientOptions>,
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        uops: uop_budget(20_000),
-        runs: 8,
-        clusters: 2,
-        point: "gzip-1".into(),
-        trace: None,
-        stages: false,
-        timeline: None,
-        every: 1_000,
-        observe: false,
-        json_out: None,
-        resilient: false,
+fn parse_args() -> Args {
+    let cli = CLI.parse();
+    let point = cli.str("--point").unwrap_or("gzip-1");
+    if !spec2000_points().iter().any(|p| p.name == point) {
+        cli.fail(&format!("--point: unknown suite point {point}"));
+    }
+    let modes = ["--trace", "--stages", "--timeline"];
+    if modes.iter().filter(|m| cli.has(m)).count() > 1 {
+        cli.fail("--stages, --trace and --timeline are mutually exclusive");
+    }
+    let resilience = if cli.has("--trace") {
+        cli.resilience()
+    } else {
+        cli.only_in("--trace mode", RESILIENCE_FLAGS);
+        None
     };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--uops" => {
-                args.uops = value("--uops")?
-                    .parse()
-                    .map_err(|_| "--uops needs an integer".to_string())?
-            }
-            "--runs" => {
-                args.runs = value("--runs")?
-                    .parse()
-                    .map_err(|_| "--runs needs an integer".to_string())?
-            }
-            "--clusters" => {
-                let v = value("--clusters")?;
-                args.clusters = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| virtclust_bench::cluster_preset(n).is_some())
-                    .ok_or(format!("--clusters must be 2, 4 or 8, got {v}"))?;
-            }
-            "--point" => {
-                let v = value("--point")?;
-                if !spec2000_points().iter().any(|p| p.name == v) {
-                    return Err(format!("--point: unknown suite point {v}"));
-                }
-                args.point = v;
-            }
-            "--trace" => args.trace = Some(value("--trace")?),
-            "--json-out" => args.json_out = Some(value("--json-out")?),
-            "--stages" => args.stages = true,
-            "--timeline" => args.timeline = Some(value("--timeline")?),
-            "--observe" => args.observe = true,
-            "--every" => {
-                args.every = value("--every")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or("--every needs a positive integer (cycles)".to_string())?
-            }
-            "--retries" | "--deadline-ms" | "--chaos" => {
-                value(arg)?;
-                args.resilient = true;
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
+    Args {
+        uops: cli.value("--uops").unwrap_or_else(|| uop_budget(20_000)),
+        runs: cli.value("--runs").map_or(8, NonZeroU64::get),
+        machine: cli.machine(),
+        point: point.to_string(),
+        trace: cli.str("--trace").map(String::from),
+        stages: cli.has("--stages"),
+        timeline: cli.str("--timeline").map(String::from),
+        every: cli.value("--every").map_or(1_000, NonZeroU64::get),
+        observe: cli.has("--observe"),
+        json_out: cli.str("--json-out").map(String::from),
+        resilience,
     }
-    if args.runs == 0 {
-        return Err("--runs must be at least 1".into());
-    }
-    Ok(args)
 }
 
 /// Expand `uops` micro-ops of a suite point under `config`'s compiler pass
@@ -686,12 +654,7 @@ fn timeline_mode(args: &Args, machine: &MachineConfig, out_path: &str) -> Result
     Ok(report)
 }
 
-fn trace_mode(
-    args: &Args,
-    machine: &MachineConfig,
-    file: &str,
-    resilience: &Resilience,
-) -> Result<String, String> {
+fn trace_mode(args: &Args, machine: &MachineConfig, file: &str) -> Result<String, String> {
     // Sanity: the file parses and declares a stream.
     let reader = TraceReader::open(file).map_err(|e| e.to_string())?;
     let declared = reader.declared_len();
@@ -709,11 +672,12 @@ fn trace_mode(
         .collect();
     let driver = EvalDriver::new(machine).threads(threads());
     let t0 = Instant::now();
-    let (outcomes, report) = if resilience.active() {
-        let (outcomes, report) = driver.run_resilient(&jobs, &resilience.opts, |_, _| {});
-        (outcomes, Some(report))
-    } else {
-        (driver.run(&jobs), None)
+    let (outcomes, report) = match &args.resilience {
+        Some(opts) => {
+            let (outcomes, report) = driver.run_resilient(&jobs, opts, |_, _| {});
+            (outcomes, Some(report))
+        }
+        None => (driver.run(&jobs), None),
     };
     let wall = t0.elapsed().as_secs_f64();
     let mut total_uops = 0u64;
@@ -738,31 +702,19 @@ fn trace_mode(
     Ok(out)
 }
 
-fn run(argv: &[String]) -> Result<(), String> {
-    let args = parse_args(argv)?;
-    if args.resilient && args.trace.is_none() {
-        return Err("--retries/--deadline-ms/--chaos only apply to --trace mode".into());
-    }
-    let resilience = if args.trace.is_some() {
-        try_resilience_from_args(argv)?
-    } else {
-        Resilience::default()
-    };
-    let machine = virtclust_bench::cluster_preset(args.clusters).expect("validated in parse_args");
+fn run(args: &Args) -> Result<(), String> {
+    let machine = &args.machine;
     let header = format!(
         "# Simulation throughput ({} clusters, {} point, {} uops/cell, {} runs/scheme)\n\n\
          Wall-clock numbers; compare only against runs on the same host.\n\
          Committed reference: results/BASELINES.md.\n\n",
         machine.num_clusters, args.point, args.uops, args.runs,
     );
-    let body = match (&args.trace, args.stages, &args.timeline) {
-        (Some(_), _, Some(_)) | (_, true, Some(_)) | (Some(_), true, _) => {
-            return Err("--stages, --trace and --timeline are mutually exclusive".into())
-        }
-        (Some(file), false, None) => trace_mode(&args, &machine, file, &resilience)?,
-        (None, true, None) => stages_mode(&args, &machine)?,
-        (None, false, Some(out)) => timeline_mode(&args, &machine, out)?,
-        (None, false, None) => point_mode(&args, &machine)?,
+    let body = match (&args.trace, &args.timeline) {
+        (Some(file), _) => trace_mode(args, machine, file)?,
+        (None, Some(out)) => timeline_mode(args, machine, out)?,
+        (None, None) if args.stages => stages_mode(args, machine)?,
+        (None, None) => point_mode(args, machine)?,
     };
     let out = format!("{header}{body}");
     print!("{out}");
@@ -772,8 +724,7 @@ fn run(argv: &[String]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
+    match run(&parse_args()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("throughput: {msg}");

@@ -40,10 +40,11 @@
 //! `--uops` defaults to `VIRTCLUST_UOPS` or 20 000 (`batch` replays whole
 //! streams unless `--uops` is given).
 
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use virtclust_bench::{threads, try_resilience_from_args, uop_budget};
+use virtclust_bench::{threads, uop_budget, Args, Cli, RESILIENCE_FLAGS};
 use virtclust_core::{
     record_point, replay_compare, replay_trace, replay_trace_observed, BatchReport, CellOutcome,
     Configuration, EvalDriver, EvalJob,
@@ -51,7 +52,6 @@ use virtclust_core::{
 use virtclust_obs::{MemSink, Shared};
 use virtclust_sim::{RunLimits, SimStats};
 use virtclust_trace::{import_kernel_file, Codec, TraceWriter};
-use virtclust_uarch::MachineConfig;
 use virtclust_workloads::{spec2000_points, KernelParams, TraceExpander};
 
 const USAGE: &str = "\
@@ -64,165 +64,67 @@ usage:
                                     [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]
   trace_replay import    <kernel> <out-file> [--binary] [--uops N] [--seed S]
 
-schemes: op, op-parallel, 1c (one-cluster), ob, rhop, vc2/vc4/..., mod64/...
+schemes (any case): op, op-parallel, op-nostall, 1c (one-cluster), ob, rhop,
+vc1 ... vc64, modN (N >= 1).
 point names are the Fig. 5 suite points (gzip-1 ... apsi); --uops defaults
 to VIRTCLUST_UOPS or 20000 (batch: whole stream). A chaos SCHEDULE is
 site=kind@N|%K|~P:S pairs, e.g. 'trace.open=io@2,job.run=panic@5' (also
 read from VIRTCLUST_FAILPOINTS).";
 
-struct Args {
-    positional: Vec<String>,
-    binary: bool,
-    uops: Option<u64>,
-    seed: u64,
-    clusters: usize,
-    scheme: String,
-    every: u64,
-    /// Any of `--retries/--deadline-ms/--chaos` was given (batch only;
-    /// values are parsed by `try_resilience_from_args` over the raw argv).
-    resilient: bool,
-}
+const CLI: Cli = Cli {
+    usage: USAGE,
+    switches: "--binary",
+    values: "--uops --seed --clusters --scheme --every --retries --deadline-ms --chaos",
+    operands: true,
+};
 
-impl Args {
-    /// The capture/import budget: `--uops`, else `VIRTCLUST_UOPS`, else
-    /// 20 000.
-    fn budget(&self) -> u64 {
-        self.uops.unwrap_or_else(|| uop_budget(20_000))
-    }
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        positional: Vec::new(),
-        binary: false,
-        uops: None,
-        seed: 1,
-        clusters: 2,
-        scheme: "vc2".into(),
-        every: 1000,
-        resilient: false,
-    };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--binary" => args.binary = true,
-            "--uops" => {
-                args.uops = Some(
-                    value("--uops")?
-                        .parse()
-                        .map_err(|_| "--uops needs an integer".to_string())?,
-                )
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?
-            }
-            "--clusters" => {
-                let v = value("--clusters")?;
-                args.clusters = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| virtclust_bench::cluster_preset(n).is_some())
-                    .ok_or(format!("--clusters must be 2, 4 or 8, got {v}"))?;
-            }
-            "--scheme" => args.scheme = value("--scheme")?,
-            "--every" => {
-                args.every = value("--every")?
-                    .parse()
-                    .ok()
-                    .filter(|&k| k > 0)
-                    .ok_or("--every needs a positive cycle count".to_string())?
-            }
-            "--retries" | "--deadline-ms" | "--chaos" => {
-                value(arg)?;
-                args.resilient = true;
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
-            other => args.positional.push(other.to_string()),
-        }
-    }
-    Ok(args)
-}
-
-fn parse_scheme(name: &str) -> Result<Configuration, String> {
-    match name {
-        "op" => Ok(Configuration::Op),
-        "op-parallel" => Ok(Configuration::OpParallel),
-        "op-nostall" => Ok(Configuration::OpNoStall),
-        "1c" | "one-cluster" => Ok(Configuration::OneCluster),
-        "ob" => Ok(Configuration::Ob),
-        "rhop" => Ok(Configuration::Rhop),
-        _ => {
-            if let Some(v) = name.strip_prefix("vc") {
-                let num_vcs = v.parse().map_err(|_| format!("bad vc count in {name}"))?;
-                return Ok(Configuration::Vc { num_vcs });
-            }
-            if let Some(s) = name.strip_prefix("mod") {
-                let slice = s.parse().map_err(|_| format!("bad slice in {name}"))?;
-                return Ok(Configuration::ModN { slice });
-            }
-            Err(format!("unknown scheme {name}"))
-        }
-    }
-}
-
-fn machine_for(clusters: usize) -> MachineConfig {
-    virtclust_bench::cluster_preset(clusters).expect("validated in parse_args")
-}
-
-fn codec_for(args: &Args) -> Codec {
-    if args.binary {
+/// Run `cmd` over its `operands`. Every flag is parsed first, so a usage
+/// error exits 2 before any work.
+fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
+    let uops: Option<u64> = args.value("--uops");
+    // Capture and import take `--uops`, else `VIRTCLUST_UOPS`, else 20 000;
+    // replays take `--uops`, else the whole stored stream.
+    let budget = || uops.unwrap_or_else(|| uop_budget(20_000));
+    let limits = uops.map_or(RunLimits::unlimited(), RunLimits::uops);
+    let seed = args.value("--seed").unwrap_or(1);
+    let machine = &args.machine();
+    let config = args
+        .value("--scheme")
+        .unwrap_or(Configuration::Vc { num_vcs: 2 });
+    let every = args.value("--every").map_or(1_000, NonZeroU64::get);
+    let codec = if args.has("--binary") {
         Codec::Binary
     } else {
         Codec::Text
-    }
-}
-
-fn run(argv: &[String]) -> Result<(), String> {
-    let Some((cmd, rest)) = argv.split_first() else {
-        return Err("missing command".into());
     };
-    let args = parse_args(rest)?;
-    if args.resilient && cmd != "batch" {
-        return Err("--retries/--deadline-ms/--chaos only apply to batch".into());
+    if cmd != "batch" {
+        args.only_in("batch", RESILIENCE_FLAGS);
     }
-    match cmd.as_str() {
+    match cmd {
         "record" => {
-            let [point_name, out] = args.positional.as_slice() else {
-                return Err("record needs <point> <out-file>".into());
+            let [point_name, out] = operands else {
+                args.fail("record needs <point> <out-file>");
             };
             let point = spec2000_points()
                 .into_iter()
                 .find(|p| &p.name == point_name)
-                .ok_or_else(|| format!("unknown suite point {point_name}"))?;
+                .unwrap_or_else(|| args.fail(&format!("unknown suite point {point_name}")));
             let t0 = std::time::Instant::now();
-            let n = record_point(&point, args.budget(), codec_for(&args), out)
-                .map_err(|e| e.to_string())?;
+            let n = record_point(&point, budget(), codec, out).map_err(|e| e.to_string())?;
             let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             println!(
                 "recorded {n} uops of {point_name} to {out} ({} codec, {bytes} bytes, {:.1} B/uop) in {:.2}s",
-                codec_for(&args),
+                codec,
                 bytes as f64 / n.max(1) as f64,
                 t0.elapsed().as_secs_f64(),
             );
             Ok(())
         }
         "replay" => {
-            let [file] = args.positional.as_slice() else {
-                return Err("replay needs <file>".into());
+            let [file] = operands else {
+                args.fail("replay needs <file>");
             };
-            let config = parse_scheme(&args.scheme)?;
-            let machine = machine_for(args.clusters);
-            // No --uops: replay the whole stored stream.
-            let limits = args.uops.map_or(RunLimits::unlimited(), RunLimits::uops);
-            let stats =
-                replay_trace(file, &config, &machine, &limits).map_err(|e| e.to_string())?;
+            let stats = replay_trace(file, &config, machine, &limits).map_err(|e| e.to_string())?;
             println!(
                 "{} over {file}: {}",
                 config.name(machine.num_clusters as u32),
@@ -231,26 +133,23 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "intervals" => {
-            let [file] = args.positional.as_slice() else {
-                return Err("intervals needs <file>".into());
+            let [file] = operands else {
+                args.fail("intervals needs <file>");
             };
-            let config = parse_scheme(&args.scheme)?;
-            let machine = machine_for(args.clusters);
-            let limits = args.uops.map_or(RunLimits::unlimited(), RunLimits::uops);
             let handle = Shared::new(MemSink::<SimStats>::new());
             let stats = replay_trace_observed(
                 file,
                 &config,
-                &machine,
+                machine,
                 &limits,
-                args.every,
+                every,
                 Box::new(handle.clone()),
             )
             .map_err(|e| e.to_string())?;
             println!(
                 "{} over {file}, one row per {}-cycle interval:",
                 config.name(machine.num_clusters as u32),
-                args.every
+                every
             );
             println!(
                 "{:<5} {:>10} {:>10} {:>7} {:>7} {:>8} {:>8} {:>8} {:>6}",
@@ -304,11 +203,10 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "compare" => {
-            let [file] = args.positional.as_slice() else {
-                return Err("compare needs <file>".into());
+            let [file] = operands else {
+                args.fail("compare needs <file>");
             };
-            let machine = machine_for(args.clusters);
-            let rows = replay_compare(file, &Configuration::table3(), &machine)
+            let rows = replay_compare(file, &Configuration::table3(), machine)
                 .map_err(|e| e.to_string())?;
             println!(
                 "{:<14} {:>10} {:>10} {:>8} {:>9} {:>9}",
@@ -338,14 +236,12 @@ fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "batch" => {
-            if args.positional.is_empty() {
-                return Err("batch needs at least one <file>".into());
+            if operands.is_empty() {
+                args.fail("batch needs at least one <file>");
             }
-            let machine = machine_for(args.clusters);
             let clusters = machine.num_clusters as u32;
-            let limits = args.uops.map_or(RunLimits::unlimited(), RunLimits::uops);
-            let jobs: Vec<EvalJob> = args
-                .positional
+            let resilience = args.resilience();
+            let jobs: Vec<EvalJob> = operands
                 .iter()
                 .flat_map(|file| {
                     Configuration::table3()
@@ -357,7 +253,6 @@ fn run(argv: &[String]) -> Result<(), String> {
                         })
                 })
                 .collect();
-            let resilience = try_resilience_from_args(rest)?;
             let finished = AtomicUsize::new(0);
             let total = jobs.len();
             let t0 = std::time::Instant::now();
@@ -377,12 +272,13 @@ fn run(argv: &[String]) -> Result<(), String> {
                     }
                 }
             };
-            let driver = EvalDriver::new(&machine).threads(threads());
-            let (outcomes, report): (_, Option<BatchReport>) = if resilience.active() {
-                let (outcomes, report) = driver.run_resilient(&jobs, &resilience.opts, progress);
-                (outcomes, Some(report))
-            } else {
-                (driver.run_streaming(&jobs, progress), None)
+            let driver = EvalDriver::new(machine).threads(threads());
+            let (outcomes, report): (_, Option<BatchReport>) = match resilience {
+                Some(opts) => {
+                    let (outcomes, report) = driver.run_resilient(&jobs, &opts, progress);
+                    (outcomes, Some(report))
+                }
+                None => (driver.run_streaming(&jobs, progress), None),
             };
             let wall = t0.elapsed();
 
@@ -390,7 +286,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             let stride = Configuration::table3().len();
             let mut failures = Vec::new();
             let mut total_uops = 0u64;
-            for (fi, file) in args.positional.iter().enumerate() {
+            for (fi, file) in operands.iter().enumerate() {
                 let cells = fi * stride..(fi + 1) * stride;
                 let row = &outcomes[cells.clone()];
                 let mut commits = Vec::with_capacity(stride);
@@ -422,7 +318,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             println!(
                 "batch: {} cells over {} file(s) in {:.2}s ({:.0}k uops/s aggregate)",
                 total,
-                args.positional.len(),
+                operands.len(),
                 wall.as_secs_f64(),
                 total_uops as f64 / wall.as_secs_f64().max(1e-9) / 1e3,
             );
@@ -436,16 +332,16 @@ fn run(argv: &[String]) -> Result<(), String> {
             }
         }
         "import" => {
-            let [kernel, out] = args.positional.as_slice() else {
-                return Err("import needs <kernel> <out-file>".into());
+            let [kernel, out] = operands else {
+                args.fail("import needs <kernel> <out-file>");
             };
+            let budget = budget();
             let program = import_kernel_file(kernel).map_err(|e| e.to_string())?;
             let params = KernelParams::base_int();
-            let mut expander = TraceExpander::new(&program, &params, args.seed);
+            let mut expander = TraceExpander::new(&program, &params, seed);
             // The expander is endless, so the budget is the exact record
             // count and can be declared in the header up front.
-            let budget = args.budget();
-            let mut writer = TraceWriter::create(out, &program, codec_for(&args), Some(budget))
+            let mut writer = TraceWriter::create(out, &program, codec, Some(budget))
                 .map_err(|e| e.to_string())?;
             expander
                 .capture(budget, |u| writer.write_uop(u))
@@ -459,16 +355,19 @@ fn run(argv: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        other => Err(format!("unknown command {other}")),
+        other => args.fail(&format!("unknown command {other}")),
     }
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
+    let args = CLI.parse();
+    let Some((cmd, operands)) = args.operands().split_first() else {
+        args.fail("missing command");
+    };
+    match run(&args, cmd, operands) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("trace_replay: {msg}\n\n{USAGE}");
+            eprintln!("trace_replay: {msg}");
             ExitCode::FAILURE
         }
     }

@@ -1,128 +1,224 @@
 //! # virtclust-bench
 //!
-//! Shared plumbing for the benchmark harness binaries that regenerate every
-//! table and figure of Cai et al., IPDPS 2008 (see `src/bin/`), plus the
-//! Criterion micro-benchmarks under `benches/`.
+//! The harness that regenerates every table and figure of Cai et al.,
+//! IPDPS 2008, plus the Criterion micro-benchmarks under `benches/`. Six
+//! binaries live under `src/bin/`:
 //!
-//! Binaries honour two environment variables:
+//! * `paper` — the tables, figures and ablations, one subcommand each;
+//! * `probe_ipc` — per-point IPC and bottleneck stats, and the JSON matrix
+//!   the CI bit-identity gate diffs;
+//! * `throughput` — simulator throughput, stage shares and timelines;
+//! * `trace_replay` — trace capture, replay and batched replay;
+//! * `serve` and `loadgen` — the evaluation-service daemon and its load
+//!   generator.
 //!
-//! * `VIRTCLUST_UOPS` — micro-ops simulated per (point × configuration)
-//!   cell (default per binary; the paper's PinPoints slices are 10 M
-//!   instructions — scale this up for higher fidelity, down for speed);
-//! * `VIRTCLUST_THREADS` — worker threads (default: all CPUs).
+//! Each binary declares its flags to one parser ([`Cli`]). Parsing is
+//! strict: an unknown, repeated or valueless flag, an unexpected operand,
+//! or a malformed flag value or `VIRTCLUST_*` variable is a usage error
+//! that names the flag or variable. Exit codes: 0 success, 2 usage error,
+//! 1 run failure.
 //!
-//! Every binary prints its result and also writes it under `results/`.
+//! `VIRTCLUST_UOPS` sets the micro-ops per (point × configuration) cell
+//! ([`uop_budget`]; the paper's PinPoints slices are 10 M instructions),
+//! `VIRTCLUST_THREADS` the worker threads ([`threads`]), and
+//! `VIRTCLUST_FAILPOINTS` a chaos schedule ([`Args::resilience`]). Every
+//! result a binary prints is also written under `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Duration;
 
 use virtclust_core::{fault, ResilientOptions};
 use virtclust_uarch::MachineConfig;
 
-/// Map a `--clusters` argument to the paper machine preset: 2 (Table 2
-/// baseline), 4 (Sec. 5.4 scaling) or 8 (the ROADMAP sweep extrapolation —
-/// location/wakeup masks beyond 4 bits). `None` for anything else; the
-/// single mapping every harness binary shares.
-pub fn cluster_preset(clusters: usize) -> Option<MachineConfig> {
-    match clusters {
-        2 => Some(MachineConfig::paper_2cluster()),
-        4 => Some(MachineConfig::paper_4cluster()),
-        8 => Some(MachineConfig::paper_8cluster()),
-        _ => None,
-    }
+/// The flags [`Args::resilience`] reads.
+pub const RESILIENCE_FLAGS: &str = "--retries --deadline-ms --chaos";
+
+/// Report a usage error as `<binary>: <msg>` on stderr and exit 2.
+fn usage_exit(msg: &str) -> ! {
+    let argv0 = std::env::args_os().next().unwrap_or_default();
+    let bin = Path::new(&argv0).file_name().unwrap_or_default();
+    eprintln!("{}: {msg}", bin.to_string_lossy());
+    std::process::exit(2)
 }
 
-/// Micro-op budget per simulation cell: `VIRTCLUST_UOPS` or `default`.
+/// Parse `text`, the value of the flag or variable `name`.
+fn parse_as<T: FromStr>(name: &str, text: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    text.parse()
+        .map_err(|e| format!("{name}: cannot parse '{text}': {e}"))
+}
+
+/// Parse `text`, the value of environment variable `var`; a malformed
+/// value is a usage error.
+fn env_value<T: FromStr>(var: &str, text: &str) -> T
+where
+    T::Err: Display,
+{
+    parse_as(var, text).unwrap_or_else(|e| usage_exit(&e))
+}
+
+/// Micro-op budget per simulation cell: `VIRTCLUST_UOPS` (`_` separators
+/// allowed) or `default`.
 pub fn uop_budget(default: u64) -> u64 {
-    match std::env::var("VIRTCLUST_UOPS") {
-        Ok(v) => v.replace('_', "").parse().unwrap_or_else(|_| {
-            eprintln!("warning: unparsable VIRTCLUST_UOPS={v}, using {default}");
-            default
-        }),
-        Err(_) => default,
-    }
+    const VAR: &str = "VIRTCLUST_UOPS";
+    std::env::var(VAR).map_or(default, |v| env_value(VAR, &v.replace('_', "")))
 }
 
-/// Worker threads for the evaluation matrix: `VIRTCLUST_THREADS` or 0
-/// (= one per CPU).
+/// Worker threads: `VIRTCLUST_THREADS`, or 0 (one per CPU) when unset.
 pub fn threads() -> usize {
-    std::env::var("VIRTCLUST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+    const VAR: &str = "VIRTCLUST_THREADS";
+    std::env::var(VAR).map_or(0, |v| env_value(VAR, &v))
 }
 
-/// Resilience flags shared by the batch binaries (`probe_ipc --json`,
-/// `throughput --trace`, `trace_replay batch`).
-#[derive(Debug, Default)]
-pub struct Resilience {
-    /// Retry/deadline options assembled from the flags.
-    pub opts: ResilientOptions,
-    /// Any of `--retries/--deadline-ms/--chaos` was given explicitly.
-    pub flags: bool,
-    /// `VIRTCLUST_FAILPOINTS` armed the registry (no flag needed).
-    pub env_armed: bool,
+/// The command line a binary accepts. Flag lists are space-separated.
+pub struct Cli {
+    /// Usage text, printed after every usage error.
+    pub usage: &'static str,
+    /// Flags without a value.
+    pub switches: &'static str,
+    /// Flags that take the next argument as their value.
+    pub values: &'static str,
+    /// Whether operands (arguments that are not flags) are accepted.
+    pub operands: bool,
 }
 
-impl Resilience {
-    /// Whether the binary should run its batch through `run_resilient`
-    /// and report degraded completion instead of treating the first
-    /// error as fatal.
-    pub fn active(&self) -> bool {
-        self.flags || self.env_armed
+impl Cli {
+    /// Parse the process's arguments; a usage error exits 2.
+    pub fn parse(&self) -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        self.try_parse(&argv)
+            .unwrap_or_else(|e| usage_exit(&format!("{e}\n\n{}", self.usage)))
     }
-}
 
-/// Parse `--retries N`, `--deadline-ms MS` and `--chaos SCHEDULE` from
-/// `argv`, and arm the failpoint registry from `--chaos` and/or
-/// `VIRTCLUST_FAILPOINTS` (process-wide — the whole process is the chaos
-/// experiment). Malformed values are an `Err` naming the flag.
-pub fn try_resilience_from_args(argv: &[String]) -> Result<Resilience, String> {
-    let value_of = |flag: &str| -> Result<Option<&String>, String> {
-        match argv.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => argv
-                .get(i + 1)
-                .map(Some)
-                .ok_or_else(|| format!("{flag} needs a value")),
+    fn try_parse(&self, argv: &[String]) -> Result<Args, String> {
+        let declared = |list: &str, arg: &str| list.split_whitespace().any(|f| f == arg);
+        let mut args = Args {
+            usage: self.usage,
+            flags: Vec::new(),
+            operands: Vec::new(),
+        };
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                if !self.operands {
+                    return Err(format!("unexpected argument {arg}"));
+                }
+                args.operands.push(arg.clone());
+                continue;
+            }
+            let value = if declared(self.switches, arg) {
+                None
+            } else if declared(self.values, arg) {
+                // A value never starts with `--`: `--unix --verify` is a
+                // missing path, not a socket named `--verify`.
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(format!("{arg} needs a value")),
+                }
+            } else {
+                return Err(format!("unknown flag {arg}"));
+            };
+            if args.has(arg) {
+                return Err(format!("{arg} given twice"));
+            }
+            args.flags.push((arg.clone(), value));
         }
-    };
-    let mut r = Resilience::default();
-    if let Some(v) = value_of("--retries")? {
-        r.opts.retry.max_retries = v
-            .parse()
-            .map_err(|_| format!("--retries must be a count, got {v}"))?;
-        r.flags = true;
+        Ok(args)
     }
-    if let Some(v) = value_of("--deadline-ms")? {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| format!("--deadline-ms must be milliseconds, got {v}"))?;
-        r.opts.deadline = Some(Duration::from_millis(ms));
-        r.flags = true;
-    }
-    if let Some(v) = value_of("--chaos")? {
-        let schedule = fault::FaultSchedule::parse(v).map_err(|e| format!("--chaos: {e}"))?;
-        fault::arm_global(&schedule);
-        r.flags = true;
-    } else {
-        r.env_armed = fault::arm_from_env()
-            .map_err(|e| format!("VIRTCLUST_FAILPOINTS: {e}"))?
-            .is_some();
-    }
-    Ok(r)
 }
 
-/// [`try_resilience_from_args`], exiting with a usage error on malformed
-/// values (`bin` names the binary in the diagnostic).
-pub fn resilience_from_args(argv: &[String], bin: &str) -> Resilience {
-    try_resilience_from_args(argv).unwrap_or_else(|e| {
-        eprintln!("{bin}: {e}");
-        std::process::exit(2);
-    })
+/// A command line parsed by [`Cli::parse`]. The typed accessors exit 2
+/// on a malformed value, naming the flag.
+#[derive(Debug)]
+pub struct Args {
+    usage: &'static str,
+    flags: Vec<(String, Option<String>)>,
+    operands: Vec<String>,
+}
+
+impl Args {
+    /// Report a usage error (with the usage text) and exit 2.
+    pub fn fail(&self, msg: &str) -> ! {
+        usage_exit(&format!("{msg}\n\n{}", self.usage))
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// Fail if any of `flags` (space-separated) was given: they only
+    /// apply to `mode`.
+    pub fn only_in(&self, mode: &str, flags: &str) {
+        if let Some(flag) = flags.split_whitespace().find(|f| self.has(f)) {
+            self.fail(&format!("{flag} only applies to {mode}"));
+        }
+    }
+
+    /// The value of `flag`, as given.
+    pub fn str(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().find(|(f, _)| f == flag)?;
+        value.as_deref()
+    }
+
+    /// The value of `flag`, parsed as a `T`.
+    pub fn value<T: FromStr>(&self, flag: &str) -> Option<T>
+    where
+        T::Err: Display,
+    {
+        let text = self.str(flag)?;
+        Some(parse_as(flag, text).unwrap_or_else(|e| self.fail(&e)))
+    }
+
+    /// The operands, in order.
+    pub fn operands(&self) -> &[String] {
+        &self.operands
+    }
+
+    /// The paper machine `--clusters` names: 2 (Table 2 baseline, the
+    /// default), 4 (Sec. 5.4 scaling) or 8 (the sweep extrapolation, with
+    /// location and wakeup masks beyond 4 bits).
+    pub fn machine(&self) -> MachineConfig {
+        match self.value::<usize>("--clusters") {
+            None | Some(2) => MachineConfig::paper_2cluster(),
+            Some(4) => MachineConfig::paper_4cluster(),
+            Some(8) => MachineConfig::paper_8cluster(),
+            Some(n) => self.fail(&format!("--clusters must be 2, 4 or 8, got {n}")),
+        }
+    }
+
+    /// The batch resilience flags `--retries N`, `--deadline-ms MS` and
+    /// `--chaos SCHEDULE`. Arms the failpoint registry from `--chaos`, or
+    /// else from `VIRTCLUST_FAILPOINTS`; arming is process-wide, because
+    /// the whole process is the chaos experiment. `Some` when a flag was
+    /// given or the environment armed the registry: the binary then runs
+    /// its batch through `EvalDriver::run_resilient` and reports degraded
+    /// completion instead of failing on the first error.
+    pub fn resilience(&self) -> Option<ResilientOptions> {
+        let retries = self.value("--retries");
+        let deadline = self.value("--deadline-ms").map(Duration::from_millis);
+        let armed = match self.str("--chaos") {
+            Some(text) => {
+                let schedule = fault::FaultSchedule::parse(text)
+                    .unwrap_or_else(|e| self.fail(&format!("--chaos: {e}")));
+                fault::arm_global(&schedule);
+                true
+            }
+            None => fault::arm_from_env()
+                .unwrap_or_else(|e| usage_exit(&format!("VIRTCLUST_FAILPOINTS: {e}")))
+                .is_some(),
+        };
+        let mut opts = ResilientOptions::new().retries(retries.unwrap_or(0));
+        opts.deadline = deadline;
+        (retries.is_some() || deadline.is_some() || armed).then_some(opts)
+    }
 }
 
 /// Locate the workspace `results/` directory (next to the workspace root's
@@ -146,6 +242,44 @@ pub fn write_result(name: &str, content: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        let cli = Cli {
+            usage: "usage: test",
+            switches: "--json",
+            values: "--uops --clusters",
+            operands: argv.first() == Some(&"batch"),
+        };
+        cli.try_parse(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn declared_flags_and_operands_parse() {
+        let args = parse(&["batch", "a.vct", "--uops", "9", "--json", "b.vct"]).unwrap();
+        assert!(args.has("--json") && !args.has("--clusters"));
+        assert_eq!(args.str("--uops"), Some("9"));
+        assert_eq!(args.operands(), ["batch", "a.vct", "b.vct"]);
+    }
+
+    #[test]
+    fn usage_errors_name_the_flag() {
+        let err = |argv: &[&str]| parse(argv).unwrap_err();
+        assert_eq!(err(&["--cluster", "4"]), "unknown flag --cluster");
+        assert_eq!(err(&["--json", "--json"]), "--json given twice");
+        assert_eq!(err(&["--uops", "1", "--uops", "2"]), "--uops given twice");
+        assert_eq!(err(&["--uops"]), "--uops needs a value");
+        assert_eq!(err(&["--uops", "--json"]), "--uops needs a value");
+        assert_eq!(err(&["stray"]), "unexpected argument stray");
+    }
+
+    #[test]
+    fn malformed_values_name_the_flag_or_variable() {
+        assert_eq!(parse_as::<u64>("--uops", "20000"), Ok(20_000));
+        let e = parse_as::<u64>("--uops", "x").unwrap_err();
+        assert!(e.starts_with("--uops: cannot parse 'x'"), "{e}");
+        let e = parse_as::<usize>("VIRTCLUST_THREADS", "two").unwrap_err();
+        assert!(e.starts_with("VIRTCLUST_THREADS: cannot parse 'two'"));
+    }
 
     #[test]
     fn budget_defaults_when_env_unset() {

@@ -1,6 +1,8 @@
 //! The five steering configurations of the paper's Table 3, and the
 //! single-point experiment runner.
 
+use std::str::FromStr;
+
 use virtclust_compiler::{SoftwarePass, VcConfig};
 use virtclust_sim::{RunLimits, SimSession, SimStats, SteeringPolicy};
 use virtclust_steer::{ModN, OccupancyAware, OneCluster, StaticFollow, VcMapper};
@@ -96,6 +98,33 @@ impl Configuration {
     }
 }
 
+/// Scheme names, case-insensitive: `op`, `op-parallel`, `op-nostall`,
+/// `1c`/`one-cluster`, `ob`, `rhop`, `vcN` with 1 ≤ N ≤ 64, and `modN`
+/// with N ≥ 1. The one parser behind every scheme a user or client names
+/// (`trace_replay --scheme`, the service wire); out-of-range counts are
+/// errors here, not constructor panics later.
+impl FromStr for Configuration {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let name = s.to_ascii_lowercase();
+        let count = |prefix: &str| name.strip_prefix(prefix)?.parse::<u64>().ok();
+        Ok(match name.as_str() {
+            "op" => Configuration::Op,
+            "op-parallel" => Configuration::OpParallel,
+            "op-nostall" => Configuration::OpNoStall,
+            "1c" | "one-cluster" => Configuration::OneCluster,
+            "ob" => Configuration::Ob,
+            "rhop" => Configuration::Rhop,
+            _ => match (count("vc"), count("mod")) {
+                (Some(n @ 1..=64), _) => Configuration::Vc { num_vcs: n as u32 },
+                (_, Some(slice @ 1..)) => Configuration::ModN { slice },
+                _ => return Err(format!("unknown scheme '{s}'")),
+            },
+        })
+    }
+}
+
 /// Run one (trace point × configuration) cell: generate the point's
 /// program, apply the configuration's software pass, expand the trace and
 /// simulate `uops` micro-ops on `machine`.
@@ -137,6 +166,34 @@ mod tests {
     fn table3_has_the_five_configurations() {
         let names: Vec<String> = Configuration::table3().iter().map(|c| c.name(2)).collect();
         assert_eq!(names, vec!["OP", "one-cluster", "OB", "RHOP", "VC(2->2)"]);
+    }
+
+    #[test]
+    fn scheme_names_parse() {
+        let named = [
+            ("op", Configuration::Op),
+            ("op-parallel", Configuration::OpParallel),
+            ("op-nostall", Configuration::OpNoStall),
+            ("1c", Configuration::OneCluster),
+            ("one-cluster", Configuration::OneCluster),
+            ("ob", Configuration::Ob),
+            ("rhop", Configuration::Rhop),
+            ("vc1", Configuration::Vc { num_vcs: 1 }),
+            ("vc2", Configuration::Vc { num_vcs: 2 }),
+            ("vc4", Configuration::Vc { num_vcs: 4 }),
+            ("vc64", Configuration::Vc { num_vcs: 64 }),
+            ("mod1", Configuration::ModN { slice: 1 }),
+            ("mod64", Configuration::ModN { slice: 64 }),
+        ];
+        for (name, config) in named {
+            assert_eq!(name.parse(), Ok(config), "{name}");
+            assert_eq!(name.to_ascii_uppercase().parse(), Ok(config), "{name}");
+        }
+        assert_eq!("One-Cluster".parse(), Ok(Configuration::OneCluster));
+        for bad in ["vc0", "VC0", "vc65", "mod0", "nope", "vc", "mod", ""] {
+            let err = bad.parse::<Configuration>().unwrap_err();
+            assert_eq!(err, format!("unknown scheme '{bad}'"));
+        }
     }
 
     #[test]

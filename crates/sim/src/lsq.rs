@@ -26,7 +26,7 @@
 //! stores of its own line's bucket instead of the whole queue. Only stores
 //! with a computed address are indexed — exactly the set the linear scan
 //! could match (unknown-address stores are optimistically non-conflicting,
-//! dead entries are unlinked at [`Lsq::free`]/[`Lsq::squash_from`]).
+//! dead entries are unlinked at [`Lsq::free`]).
 //!
 //! The pre-index linear search survives as [`Lsq::check_load_scan`], the
 //! reference implementation: debug builds run both on every check and
@@ -346,29 +346,6 @@ impl Lsq {
             self.popped += 1;
         }
     }
-
-    /// Squash every entry with sequence number `>= first`, unlinking any
-    /// indexed store so no bucket retains a squashed entry. Returns how
-    /// many live entries were removed.
-    ///
-    /// The current pipeline never squashes dispatched work (mispredicts
-    /// only halt fetch), so nothing in the simulator calls this yet; like
-    /// `ValueTracker::unlink_waiter` it is the forward-looking half of the
-    /// contract a future wrong-path/flush model needs, unit-tested here so
-    /// that model inherits a working primitive.
-    pub fn squash_from(&mut self, first: u64) -> usize {
-        let mut squashed = 0;
-        while matches!(self.entries.back(), Some(e) if e.seq >= first) {
-            let i = self.entries.len() - 1;
-            if self.entries[i].alive {
-                self.unindex(i);
-                self.live -= 1;
-                squashed += 1;
-            }
-            self.entries.pop_back();
-        }
-        squashed
-    }
 }
 
 #[cfg(test)]
@@ -504,45 +481,6 @@ mod tests {
         assert_eq!(q.check_load(2, 0x1004), LoadCheck::GoToCache);
         assert_eq!(q.check_load_scan(2, 0x1004), LoadCheck::GoToCache);
         assert_eq!(q.check_load(2, 0x1000), LoadCheck::Forward);
-    }
-
-    #[test]
-    fn squash_from_unlinks_indexed_stores() {
-        let mut q = Lsq::new(8);
-        q.alloc(1, true);
-        q.alloc(2, false);
-        q.alloc(3, true);
-        q.alloc(4, true); // address never computed
-        q.set_addr(1, 0x200);
-        q.set_data_ready(1);
-        q.set_addr(3, 0x200);
-        q.set_data_ready(3);
-        q.alloc(5, false);
-        assert_eq!(q.check_load(5, 0x200), LoadCheck::Forward, "store 3 wins");
-
-        // Squash the tail from seq 3: store 3 must vanish from the bucket,
-        // store 1 must keep forwarding.
-        assert_eq!(q.squash_from(3), 3);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.indexed_stores(), 1);
-        q.alloc(5, false);
-        assert_eq!(q.check_load(5, 0x200), LoadCheck::Forward);
-        assert_eq!(q.check_load_scan(5, 0x200), LoadCheck::Forward);
-        q.free(1);
-        assert_eq!(q.check_load(5, 0x200), LoadCheck::GoToCache);
-    }
-
-    #[test]
-    fn squash_from_skips_already_freed_entries() {
-        let mut q = Lsq::new(8);
-        q.alloc(1, false);
-        q.alloc(2, true);
-        q.alloc(3, false);
-        q.set_addr(2, 0x40);
-        q.free(2); // dead, not yet compacted (not at front)
-        assert_eq!(q.squash_from(2), 1, "only the live load counts");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.indexed_stores(), 0);
     }
 
     #[test]

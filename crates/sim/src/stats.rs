@@ -331,6 +331,64 @@ impl SimStats {
         }
     }
 
+    /// Write every field as stable `key=value` lines: the canonical
+    /// encoding the golden pins (`results/golden/`) hold and the service's
+    /// stats digest hashes. The exhaustive destructuring fails to compile
+    /// when `SimStats` grows a field, so neither can silently under-cover.
+    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let SimStats {
+            cycles,
+            committed_uops,
+            copies_generated,
+            copies_delivered,
+            dispatch_stalls,
+            frontend_starved_cycles,
+            branches,
+            mispredicts,
+            l1_hits,
+            l1_misses,
+            l2_hits,
+            l2_misses,
+            store_forwards,
+            trace_cache_misses,
+            clusters,
+        } = self;
+        writeln!(out, "cycles={cycles}")?;
+        writeln!(out, "committed_uops={committed_uops}")?;
+        writeln!(out, "copies_generated={copies_generated}")?;
+        writeln!(out, "copies_delivered={copies_delivered}")?;
+        for reason in StallReason::ALL {
+            writeln!(
+                out,
+                "dispatch_stalls.{reason}={}",
+                dispatch_stalls[reason.index()]
+            )?;
+        }
+        writeln!(out, "frontend_starved_cycles={frontend_starved_cycles}")?;
+        writeln!(out, "branches={branches}")?;
+        writeln!(out, "mispredicts={mispredicts}")?;
+        writeln!(out, "l1_hits={l1_hits}")?;
+        writeln!(out, "l1_misses={l1_misses}")?;
+        writeln!(out, "l2_hits={l2_hits}")?;
+        writeln!(out, "l2_misses={l2_misses}")?;
+        writeln!(out, "store_forwards={store_forwards}")?;
+        writeln!(out, "trace_cache_misses={trace_cache_misses}")?;
+        for (i, c) in clusters.iter().enumerate() {
+            let ClusterStats {
+                dispatched,
+                copies_inserted,
+                issued,
+                occupancy_integral,
+            } = c;
+            writeln!(
+                out,
+                "cluster{i}=dispatched:{dispatched},copies_inserted:{copies_inserted},\
+                 issued:{issued},occupancy_integral:{occupancy_integral}"
+            )?;
+        }
+        Ok(())
+    }
+
     /// Committed micro-ops per cycle (copies excluded, as the paper's IPC).
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

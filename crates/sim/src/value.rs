@@ -445,37 +445,6 @@ impl ValueTracker {
         self.slots[tag as usize].waiters = kept;
     }
 
-    /// Remove one registration of `who` waiting on (`tag`, `cluster`)
-    /// *without* waking it — the squash primitive: a consumer leaving the
-    /// window mid-wait must unlink itself so a later ready transition does
-    /// not wake a recycled identity. Returns whether a matching waiter was
-    /// found.
-    ///
-    /// The current pipeline never squashes dispatched work (mispredicts
-    /// only halt fetch, so no wrong-path micro-op reaches an issue queue);
-    /// this is the forward-looking half of the wakeup contract that a
-    /// future wrong-path/flush model must call per registered waiter, and
-    /// it is unit-tested here so that model inherits a working primitive.
-    pub fn unlink_waiter(&mut self, tag: ValueTag, cluster: u8, who: Waiter) -> bool {
-        let mut cur = self.slots[tag as usize].waiters;
-        let mut prev = NIL;
-        while cur != NIL {
-            let node = self.waiter_nodes[cur as usize];
-            if node.cluster == cluster && node.who == who {
-                if prev == NIL {
-                    self.slots[tag as usize].waiters = node.next;
-                } else {
-                    self.waiter_nodes[prev as usize].next = node.next;
-                }
-                self.free_waiters.push(cur);
-                return true;
-            }
-            prev = cur;
-            cur = node.next;
-        }
-        false
-    }
-
     /// Append (and clear) the consumers woken since the last drain. The
     /// session calls this after each completion-event batch and interprets
     /// the waiters; relative order within a drain carries no meaning (the
@@ -770,39 +739,6 @@ mod tests {
         assert_eq!(drained(&mut vt), vec![Waiter::Uop(3), Waiter::Uop(3)]);
         vt.release(t);
         vt.release(t);
-    }
-
-    #[test]
-    fn unlink_waiter_removes_without_waking() {
-        // The squash path: a consumer leaving the window mid-wait unlinks
-        // itself so the later ready transition cannot wake its recycled
-        // identity. Exercise head, middle and missing cases.
-        let mut vt = ValueTracker::new(4);
-        let t = vt.alloc(RegClass::Int, 2);
-        for _ in 0..3 {
-            vt.add_ref(t);
-        }
-        vt.add_waiter(t, 2, Waiter::Uop(1));
-        vt.add_waiter(t, 2, Waiter::Copy(5));
-        vt.add_waiter(t, 2, Waiter::Uop(2));
-        assert_eq!(vt.waiter_count(t), 3);
-
-        assert!(vt.unlink_waiter(t, 2, Waiter::Copy(5)), "middle node");
-        assert!(vt.unlink_waiter(t, 2, Waiter::Uop(2)), "head node");
-        assert!(!vt.unlink_waiter(t, 2, Waiter::Uop(42)), "absent waiter");
-        assert!(!vt.unlink_waiter(t, 1, Waiter::Uop(1)), "wrong cluster");
-        assert_eq!(vt.waiter_count(t), 1);
-
-        vt.mark_produced(t);
-        assert_eq!(
-            drained(&mut vt),
-            vec![Waiter::Uop(1)],
-            "unlinked waiters must not wake"
-        );
-        for _ in 0..3 {
-            vt.release(t);
-        }
-        assert_eq!(vt.pending_wakeup_state(), 0);
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub use client::{Client, Stream};
 pub use sched::{SchedConfig, Scheduler};
 pub use server::{LocalClient, LocalResult, Server, ServerBuilder, CANCELLED_BEFORE_START};
 pub use wire::{
-    parse_scheme, resolve_spec, stats_digest, BusyReason, ClientMsg, JobSpec, Priority, ServerMsg,
-    Submit, SvcStats, WireResult, WireStats,
+    resolve_spec, stats_digest, BusyReason, ClientMsg, JobSpec, Priority, ServerMsg, Submit,
+    SvcStats, WireResult, WireStats,
 };

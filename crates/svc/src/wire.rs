@@ -129,7 +129,10 @@ pub enum JobSpec {
     Point {
         /// Suite point name ([`spec2000_points`]).
         name: String,
-        /// Scheme name ([`parse_scheme`]).
+        /// Scheme name, parsed by [`Configuration`]'s `FromStr`: the same
+        /// case-insensitive set `trace_replay --scheme` takes, so the
+        /// ablation schemes `op-parallel`, `op-nostall` and `modN` run
+        /// over the wire too.
         scheme: String,
         /// Micro-op budget.
         uops: u64,
@@ -246,34 +249,25 @@ pub enum ServerMsg {
     Stats(SvcStats),
 }
 
-/// FNV-1a 64-bit digest of the full `Debug` rendering of a [`SimStats`].
-/// Every counter the simulator tracks participates, so two runs with the
-/// same digest are bit-identical for all practical purposes — this is
-/// what `loadgen --verify` compares against a local driver run.
+/// FNV-1a 64-bit digest of a [`SimStats`]' canonical encoding
+/// ([`SimStats::write_canonical`], the text the golden pins hold). Every
+/// counter the simulator tracks participates, so two runs with the same
+/// digest are bit-identical for all practical purposes — this is what
+/// `loadgen --verify` compares against a local driver run. The text is
+/// hashed as it is written; nothing is allocated.
 pub fn stats_digest(stats: &SimStats) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{stats:?}").bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    struct Fnv1a(u64);
+    impl std::fmt::Write for Fnv1a {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
     }
-    h
-}
-
-/// Parse a wire scheme name into a [`Configuration`]. Case-insensitive;
-/// accepts `OP`, `1C`/`one-cluster`, `OB`, `RHOP` and `VCn`.
-pub fn parse_scheme(s: &str) -> Option<Configuration> {
-    let up = s.to_ascii_uppercase();
-    match up.as_str() {
-        "OP" => Some(Configuration::Op),
-        "1C" | "ONE-CLUSTER" => Some(Configuration::OneCluster),
-        "OB" => Some(Configuration::Ob),
-        "RHOP" => Some(Configuration::Rhop),
-        _ => up
-            .strip_prefix("VC")
-            .and_then(|n| n.parse::<u32>().ok())
-            .filter(|&n| (1..=64).contains(&n))
-            .map(|num_vcs| Configuration::Vc { num_vcs }),
-    }
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    stats.write_canonical(&mut h).expect("hashing never fails");
+    h.0
 }
 
 /// Resolve a wire [`JobSpec`] into a runnable [`EvalJob`] against this
@@ -282,8 +276,7 @@ pub fn parse_scheme(s: &str) -> Option<Configuration> {
 pub fn resolve_spec(spec: &JobSpec) -> Result<EvalJob, String> {
     match spec {
         JobSpec::Point { name, scheme, uops } => {
-            let config =
-                parse_scheme(scheme).ok_or_else(|| format!("unknown scheme '{scheme}'"))?;
+            let config: Configuration = scheme.parse()?;
             // Built once per process: every reader thread resolves its
             // point submits against the same 40 points.
             static SUITE: OnceLock<Vec<TracePoint>> = OnceLock::new();
@@ -304,8 +297,7 @@ pub fn resolve_spec(spec: &JobSpec) -> Result<EvalJob, String> {
             scheme,
             uops,
         } => {
-            let config =
-                parse_scheme(scheme).ok_or_else(|| format!("unknown scheme '{scheme}'"))?;
+            let config: Configuration = scheme.parse()?;
             let program = import_kernel_file(path).map_err(|e| format!("kernel '{path}': {e}"))?;
             Ok(EvalJob::Kernel {
                 program,
@@ -320,8 +312,7 @@ pub fn resolve_spec(spec: &JobSpec) -> Result<EvalJob, String> {
             scheme,
             max_uops,
         } => {
-            let config =
-                parse_scheme(scheme).ok_or_else(|| format!("unknown scheme '{scheme}'"))?;
+            let config: Configuration = scheme.parse()?;
             Ok(EvalJob::Trace {
                 path: path.into(),
                 config,
@@ -712,20 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn scheme_names_parse() {
-        assert_eq!(parse_scheme("OP"), Some(Configuration::Op));
-        assert_eq!(parse_scheme("op"), Some(Configuration::Op));
-        assert_eq!(parse_scheme("1C"), Some(Configuration::OneCluster));
-        assert_eq!(parse_scheme("one-cluster"), Some(Configuration::OneCluster));
-        assert_eq!(parse_scheme("OB"), Some(Configuration::Ob));
-        assert_eq!(parse_scheme("RHOP"), Some(Configuration::Rhop));
-        assert_eq!(parse_scheme("VC2"), Some(Configuration::Vc { num_vcs: 2 }));
-        assert_eq!(parse_scheme("vc4"), Some(Configuration::Vc { num_vcs: 4 }));
-        assert_eq!(parse_scheme("VC0"), None);
-        assert_eq!(parse_scheme("nope"), None);
-    }
-
-    #[test]
     fn specs_resolve_against_the_suite() {
         let job = resolve_spec(&JobSpec::Point {
             name: "mcf".into(),
@@ -752,12 +729,16 @@ mod tests {
 
     #[test]
     fn digest_separates_different_stats() {
-        let a = SimStats::default();
+        let a = SimStats::new(2);
         let b = SimStats {
             committed_uops: 1,
-            ..SimStats::default()
+            ..SimStats::new(2)
         };
-        assert_eq!(stats_digest(&a), stats_digest(&a));
+        let mut c = SimStats::new(2);
+        c.clusters[1].issued = 1;
+        assert_eq!(stats_digest(&a), stats_digest(&a.clone()));
         assert_ne!(stats_digest(&a), stats_digest(&b));
+        assert_ne!(stats_digest(&a), stats_digest(&c));
+        assert_ne!(stats_digest(&a), stats_digest(&SimStats::new(4)));
     }
 }

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use virtclust::core::{run_point, run_point_on, Configuration};
-use virtclust::sim::{SimSession, SimStats, StallReason};
+use virtclust::sim::SimSession;
 use virtclust::uarch::MachineConfig;
 use virtclust::workloads::spec2000_points;
 
@@ -47,56 +47,6 @@ fn snapshot_path() -> PathBuf {
         .join("probe_ipc_20k.txt")
 }
 
-/// Serialize every field of a [`SimStats`] into stable `key=value` lines.
-/// The exhaustive destructuring makes this fail to compile when `SimStats`
-/// grows a field, so the snapshot can never silently under-cover.
-fn serialize_stats(stats: &SimStats, out: &mut String) {
-    let SimStats {
-        cycles,
-        committed_uops,
-        copies_generated,
-        copies_delivered,
-        dispatch_stalls,
-        frontend_starved_cycles,
-        branches,
-        mispredicts,
-        l1_hits,
-        l1_misses,
-        l2_hits,
-        l2_misses,
-        store_forwards,
-        trace_cache_misses,
-        clusters,
-    } = stats;
-    let _ = writeln!(out, "cycles={cycles}");
-    let _ = writeln!(out, "committed_uops={committed_uops}");
-    let _ = writeln!(out, "copies_generated={copies_generated}");
-    let _ = writeln!(out, "copies_delivered={copies_delivered}");
-    for reason in StallReason::ALL {
-        let _ = writeln!(
-            out,
-            "dispatch_stalls.{reason}={}",
-            dispatch_stalls[reason.index()]
-        );
-    }
-    let _ = writeln!(out, "frontend_starved_cycles={frontend_starved_cycles}");
-    let _ = writeln!(out, "branches={branches}");
-    let _ = writeln!(out, "mispredicts={mispredicts}");
-    let _ = writeln!(out, "l1_hits={l1_hits}");
-    let _ = writeln!(out, "l1_misses={l1_misses}");
-    let _ = writeln!(out, "l2_hits={l2_hits}");
-    let _ = writeln!(out, "l2_misses={l2_misses}");
-    let _ = writeln!(out, "store_forwards={store_forwards}");
-    let _ = writeln!(out, "trace_cache_misses={trace_cache_misses}");
-    for (i, c) in clusters.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "cluster{i}=dispatched:{},copies_inserted:{},issued:{},occupancy_integral:{}",
-            c.dispatched, c.copies_inserted, c.issued, c.occupancy_integral
-        );
-    }
-}
-
 /// Run every cell of the subset and render the whole snapshot text.
 fn render_snapshot() -> String {
     let points = spec2000_points();
@@ -118,7 +68,7 @@ fn render_snapshot() -> String {
                     "\n[cell point={point_name} scheme={} clusters={clusters} uops={BUDGET}]",
                     config.name(clusters as u32)
                 );
-                serialize_stats(&stats, &mut out);
+                stats.write_canonical(&mut out).unwrap();
             }
         }
     }
@@ -186,12 +136,12 @@ fn golden_diff_detects_any_stats_perturbation() {
     let point = points.iter().find(|p| p.name == POINTS[0]).unwrap();
     let stats = run_point(point, &Configuration::Op, &machine, 2_000);
     let mut reference = String::new();
-    serialize_stats(&stats, &mut reference);
+    stats.write_canonical(&mut reference).unwrap();
 
     let mut perturbed = stats.clone();
     perturbed.cycles += 1;
     let mut text = String::new();
-    serialize_stats(&perturbed, &mut text);
+    perturbed.write_canonical(&mut text).unwrap();
     assert!(
         first_divergence(&reference, &text).is_some(),
         "a cycles perturbation must diff"
@@ -200,7 +150,7 @@ fn golden_diff_detects_any_stats_perturbation() {
     let mut perturbed = stats.clone();
     perturbed.clusters[1].issued += 1;
     let mut text = String::new();
-    serialize_stats(&perturbed, &mut text);
+    perturbed.write_canonical(&mut text).unwrap();
     let (line, exp, act) = first_divergence(&reference, &text).expect("per-cluster diff");
     assert_ne!(exp, act);
     assert!(line > 0);
@@ -209,7 +159,7 @@ fn golden_diff_detects_any_stats_perturbation() {
     let mut perturbed = stats.clone();
     perturbed.clusters.pop();
     let mut text = String::new();
-    serialize_stats(&perturbed, &mut text);
+    perturbed.write_canonical(&mut text).unwrap();
     assert!(first_divergence(&reference, &text).is_some());
 }
 
@@ -260,7 +210,7 @@ fn gzip1_8cluster_ob_rhop_pin_in_both_cover_modes() {
             session.set_cycle_skipping(skip);
             let stats = run_point_on(&mut session, point, &config, &machine, BUDGET);
             let mut actual = String::new();
-            serialize_stats(&stats, &mut actual);
+            stats.write_canonical(&mut actual).unwrap();
             assert_eq!(
                 expected,
                 actual.trim(),
