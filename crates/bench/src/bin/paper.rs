@@ -12,7 +12,7 @@
 use virtclust_bench::{threads, uop_budget, write_result, Cli};
 use virtclust_compiler::{SoftwarePass, VcConfig};
 use virtclust_core::{figures, run_matrix, Configuration};
-use virtclust_sim::{simulate, Machine, RunLimits};
+use virtclust_sim::{RunLimits, SimSession};
 use virtclust_steer::{table1_markdown, OccupancyAware, VcMapper};
 use virtclust_uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace};
 use virtclust_workloads::spec2000_points;
@@ -335,6 +335,7 @@ fn ablation_vc() {
         .iter()
         .filter(|p| ["gzip-1", "crafty", "galgel", "swim", "vortex-1"].contains(&p.name.as_str()))
         .collect();
+    let mut session = SimSession::new(&machine);
 
     let mut out = String::from("## Ablation 1 — VC remap hysteresis\n\n");
     out.push_str("| threshold | mean cycles | copies/kuop | alloc stalls |\n|---|---|---|---|\n");
@@ -345,7 +346,7 @@ fn ablation_vc() {
             SoftwarePass::Vc(VcConfig::new(2)).apply(&mut program, &machine.latencies);
             let mut trace = point.expander(&program);
             let mut policy = VcMapper::with_threshold(2, threshold);
-            let stats = simulate(&machine, &mut trace, &mut policy, &RunLimits::uops(uops));
+            let stats = session.simulate(&machine, &mut trace, &mut policy, &RunLimits::uops(uops));
             cyc += stats.cycles;
             cpk += stats.copies_per_kuop();
             stalls += stats.allocation_stalls();
@@ -373,7 +374,7 @@ fn ablation_vc() {
             SoftwarePass::Vc(cfg).apply(&mut program, &machine.latencies);
             let mut trace = point.expander(&program);
             let mut policy = VcMapper::new(2);
-            let stats = simulate(&machine, &mut trace, &mut policy, &RunLimits::uops(uops));
+            let stats = session.simulate(&machine, &mut trace, &mut policy, &RunLimits::uops(uops));
             cyc += stats.cycles;
             cpk += stats.copies_per_kuop();
             remaps += policy.remaps();
@@ -410,11 +411,11 @@ fn sec21_example() -> String {
         ("parallel (stale)", OccupancyAware::parallel()),
     ] {
         let mut trace = SliceTrace::new(&uops);
-        let mut m = Machine::new(&MachineConfig::paper_2cluster());
-        m.place_register(r(1), 1);
-        m.place_register(r(2), 0);
-        m.place_register(r(3), 0);
-        let stats = m.run(&mut trace, &mut policy, &RunLimits::unlimited());
+        let mut session = SimSession::new(&MachineConfig::paper_2cluster());
+        session.place_register(r(1), 1);
+        session.place_register(r(2), 0);
+        session.place_register(r(3), 0);
+        let stats = session.run(&mut trace, &mut policy, &RunLimits::unlimited());
         out.push_str(&format!("| {label} | {} |\n", stats.copies_generated));
     }
     out.push_str(

@@ -13,8 +13,9 @@
 //! Fig. 5 name, e.g. `mcf` for an idle-heavy memory-bound stream) once
 //! per scheme into an in-memory trace, then runs it `R` times two ways:
 //!
-//! * **fresh** — a new [`Machine`] per run (the pre-refactor cost model:
-//!   every run reallocates caches, predictor tables, the event calendar);
+//! * **fresh** — `SimSession::new(cfg).run(..)` per run (the pre-refactor
+//!   cost model: every run reallocates caches, predictor tables, the event
+//!   calendar);
 //! * **reused** — one [`SimSession`] reset per run, with the trace
 //!   [`rewound`](virtclust_uarch::TraceSource::rewind) instead of rebuilt.
 //!
@@ -69,7 +70,7 @@ use std::time::Instant;
 use virtclust_bench::{results_dir, threads, uop_budget, write_result, Cli, RESILIENCE_FLAGS};
 use virtclust_core::{Configuration, EvalDriver, EvalJob, ResilientOptions};
 use virtclust_obs::{ChromeTrace, MemSink, Shared};
-use virtclust_sim::{simulate, RunLimits, SimSession, SimStats, StageTimers, StallReason};
+use virtclust_sim::{RunLimits, SimSession, SimStats, StageTimers, StallReason};
 use virtclust_trace::TraceReader;
 use virtclust_uarch::{DynUop, MachineConfig, SliceTrace, TraceSource};
 use virtclust_workloads::spec2000_points;
@@ -244,18 +245,14 @@ fn point_mode(args: &Args, machine: &MachineConfig) -> Result<String, String> {
     for config in Configuration::table3() {
         let uops = expand_scheme(&config, machine, args.uops, &args.point);
 
-        // Fresh: a new machine (and a new trace view) per run.
+        // Fresh: a new session (and a new trace view) per run.
         let t0 = Instant::now();
         let mut fresh_stats = None;
         for _ in 0..args.runs {
             let mut trace = SliceTrace::new(&uops);
             let mut policy = config.make_policy();
-            let stats = simulate(
-                machine,
-                &mut trace,
-                policy.as_mut(),
-                &RunLimits::unlimited(),
-            );
+            let stats =
+                SimSession::new(machine).run(&mut trace, policy.as_mut(), &RunLimits::unlimited());
             fresh_stats.get_or_insert(stats);
         }
         let fresh_wall = t0.elapsed().as_secs_f64();
@@ -522,12 +519,7 @@ fn timeline_mode(args: &Args, machine: &MachineConfig, out_path: &str) -> Result
         let reference = {
             let mut trace = SliceTrace::new(&uops);
             let mut policy = config.make_policy();
-            simulate(
-                machine,
-                &mut trace,
-                policy.as_mut(),
-                &RunLimits::unlimited(),
-            )
+            SimSession::new(machine).run(&mut trace, policy.as_mut(), &RunLimits::unlimited())
         };
 
         let handle = Shared::new(MemSink::<SimStats>::new());

@@ -1395,12 +1395,7 @@ mod tests {
                 .apply(&mut annotated, &machine.latencies);
             let mut trace = TraceExpander::new(&annotated, &params, 9);
             let mut policy = config.make_policy();
-            virtclust_sim::simulate(
-                &machine,
-                &mut trace,
-                policy.as_mut(),
-                &RunLimits::uops(1_200),
-            )
+            SimSession::new(&machine).run(&mut trace, policy.as_mut(), &RunLimits::uops(1_200))
         };
         assert_eq!(&manual, outcomes[0].stats.as_ref().unwrap(), "miss");
         assert_eq!(&manual, outcomes[1].stats.as_ref().unwrap(), "hit");

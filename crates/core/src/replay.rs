@@ -34,24 +34,21 @@
 //! }
 //! # std::fs::remove_file(&path).ok();
 //! ```
+//!
+//! [`run_point`]: crate::run_point
+//! [`TraceSource`]: virtclust_uarch::TraceSource
 
 use std::io::{BufRead, Seek};
 use std::path::Path;
 
 use virtclust_obs::ObsSink;
-use virtclust_sim::{simulate, RunLimits, SimSession, SimStats};
+use virtclust_sim::{RunLimits, SimSession, SimStats};
 use virtclust_trace::{Codec, Result, TraceReader, TraceWriter};
-use virtclust_uarch::{MachineConfig, Program};
+use virtclust_uarch::MachineConfig;
 use virtclust_workloads::TracePoint;
 
 use crate::compile::run_pass;
 use crate::experiment::Configuration;
-
-// Referenced by the module docs.
-#[allow(unused_imports)]
-use crate::experiment::run_point;
-#[allow(unused_imports)]
-use virtclust_uarch::TraceSource;
 
 /// Record `uops` micro-ops of `point`'s dynamic stream into a trace file.
 ///
@@ -79,6 +76,8 @@ pub fn record_point(
 /// feeds the stored stream to the simulator. With
 /// [`RunLimits::unlimited`] the whole trace is consumed; a tighter
 /// `max_uops` replays a prefix.
+///
+/// [`run_point`]: crate::run_point
 pub fn replay_trace(
     path: impl AsRef<Path>,
     config: &Configuration,
@@ -92,21 +91,18 @@ pub fn replay_trace(
 /// [`replay_trace`] over an already-open reader (any seekable byte
 /// source).
 pub fn replay_reader<R: BufRead + Seek>(
-    mut reader: TraceReader<R>,
+    reader: TraceReader<R>,
     config: &Configuration,
     machine: &MachineConfig,
     limits: &RunLimits,
 ) -> Result<SimStats> {
-    let program = annotate_for_replay(reader.program().clone(), config, machine);
-    reader.set_program(program)?;
-    let mut policy = config.make_policy();
-    let stats = simulate(machine, &mut reader, policy.as_mut(), limits);
-    // Errors inside the simulation loop surface as a silently-ended trace;
-    // re-raise them so a corrupt file can never masquerade as a short run.
-    if let Some(err) = reader.take_error() {
-        return Err(err);
-    }
-    Ok(stats)
+    replay_on(
+        &mut SimSession::new(machine),
+        reader,
+        config,
+        machine,
+        limits,
+    )
 }
 
 /// [`replay_trace`] with an interval observer attached: replays the
@@ -123,30 +119,37 @@ pub fn replay_trace_observed(
     every: u64,
     sink: Box<dyn ObsSink<SimStats> + Send>,
 ) -> Result<SimStats> {
-    let mut reader = TraceReader::open(path)?;
-    let program = annotate_for_replay(reader.program().clone(), config, machine);
-    reader.set_program(program)?;
-    let mut policy = config.make_policy();
+    crate::fault::fire(crate::fault::TRACE_OPEN)?;
+    let reader = TraceReader::open(path)?;
     let mut session = SimSession::new(machine);
     session.attach_observer(every, sink);
-    let stats = session.run(&mut reader, policy.as_mut(), limits);
+    replay_on(&mut session, reader, config, machine, limits)
+}
+
+/// [`replay_reader`] on a caller-provided session, the one replay body:
+/// re-annotate the trace's program for `config` through the same
+/// [`run_pass`] that [`run_point`] applies to a freshly generated program,
+/// then simulate the stored stream.
+///
+/// [`run_point`]: crate::run_point
+fn replay_on<R: BufRead + Seek>(
+    session: &mut SimSession,
+    mut reader: TraceReader<R>,
+    config: &Configuration,
+    machine: &MachineConfig,
+    limits: &RunLimits,
+) -> Result<SimStats> {
+    let mut program = reader.program().clone();
+    run_pass(&mut program, config, machine);
+    reader.set_program(program)?;
+    let mut policy = config.make_policy();
+    let stats = session.simulate(machine, &mut reader, policy.as_mut(), limits);
+    // Errors inside the simulation loop surface as a silently-ended trace;
+    // re-raise them so a corrupt file can never masquerade as a short run.
     if let Some(err) = reader.take_error() {
         return Err(err);
     }
     Ok(stats)
-}
-
-/// The replay preparation step: re-annotate a trace's program for
-/// `config` by clearing stale hints and running the configuration's
-/// compiler pass, through the same [`run_pass`] that [`run_point`] applies
-/// to a freshly generated program.
-fn annotate_for_replay(
-    mut program: Program,
-    config: &Configuration,
-    machine: &MachineConfig,
-) -> Program {
-    run_pass(&mut program, config, machine);
-    program
 }
 
 /// Replay a stored trace under several configurations, returning
@@ -197,6 +200,33 @@ mod tests {
             let live = crate::run_point(&p, &config, &machine, budget);
             let replayed = replay_trace(&path, &config, &machine, &RunLimits::unlimited()).unwrap();
             assert_eq!(live, replayed, "{}", config.name(2));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn observed_replay_matches_replay_trace_and_its_deltas_sum() {
+        use virtclust_obs::{MemSink, Shared};
+        let machine = MachineConfig::paper_2cluster();
+        let path = tmp("observed.vctb");
+        record_point(&point("gzip-1"), 1_500, Codec::Binary, &path).unwrap();
+        let limits = RunLimits::unlimited();
+        for config in Configuration::table3() {
+            let plain = replay_trace(&path, &config, &machine, &limits).unwrap();
+            let sink = Shared::new(MemSink::<SimStats>::new());
+            let observed = replay_trace_observed(
+                &path,
+                &config,
+                &machine,
+                &limits,
+                250,
+                Box::new(sink.clone()),
+            )
+            .unwrap();
+            assert_eq!(observed, plain, "{}", config.name(2));
+            let mut sum = SimStats::default();
+            sink.with(|s| s.intervals.iter().for_each(|i| sum.accumulate(&i.delta)));
+            assert_eq!(sum, plain, "{}: interval deltas sum", config.name(2));
         }
         std::fs::remove_file(&path).ok();
     }

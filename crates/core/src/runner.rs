@@ -14,10 +14,6 @@ use virtclust_workloads::TracePoint;
 use crate::batch::{EvalDriver, EvalJob};
 use crate::experiment::Configuration;
 
-// Referenced by the docs below.
-#[allow(unused_imports)]
-use crate::experiment::run_point;
-
 /// Results of a full evaluation matrix.
 #[derive(Debug, Clone)]
 pub struct EvalMatrix {
@@ -47,8 +43,8 @@ impl EvalMatrix {
 
 /// Run all (point × config) cells, using up to `threads` worker threads
 /// (0 = one per available CPU). Each cell is bit-identical to a standalone
-/// [`run_point`] call; the cells execute on the batch engine's reusable
-/// per-worker sessions.
+/// [`run_point`](crate::run_point) call; the cells execute on the batch
+/// engine's reusable per-worker sessions.
 pub fn run_matrix(
     machine: &MachineConfig,
     configs: &[Configuration],

@@ -1,6 +1,6 @@
 //! Zero-dependency observability kit for the virtclust simulator.
 //!
-//! The simulator's end-of-run [`SimStats`-shaped] aggregates hide how
+//! The simulator's end-of-run `SimStats`-shaped aggregates hide how
 //! strongly behavior varies by program phase — and phase-resolved views are
 //! exactly what an adaptive steering controller or an async evaluation
 //! service needs. This crate supplies the plumbing without knowing anything

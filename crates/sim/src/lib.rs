@@ -20,8 +20,13 @@
 //! snapshot ([`SteerView::location_stale`]) is available to model the
 //! cheaper *parallel* steering of Sec. 2.1.
 //!
+//! [`SimSession`] is the one way to run the machine: `SimSession::new(cfg)`
+//! then [`SimSession::run`] for a one-off run, or one session and
+//! [`SimSession::simulate`] per run to reuse its allocations across a batch
+//! (bit-identical either way); [`SimSession::step`] single-steps.
+//!
 //! ```
-//! use virtclust_sim::{simulate, RunLimits, SteerDecision, SteerView, SteeringPolicy};
+//! use virtclust_sim::{RunLimits, SimSession, SteerDecision, SteerView, SteeringPolicy};
 //! use virtclust_uarch::{ArchReg, DynUop, MachineConfig, RegionBuilder, SliceTrace};
 //!
 //! struct Everything0;
@@ -37,8 +42,8 @@
 //! let mut uops = Vec::new();
 //! virtclust_uarch::trace::expand_region(&region, 0, &mut uops, |_, _| 0, |_, _| true);
 //! let mut trace = SliceTrace::new(&uops);
-//! let stats = simulate(&MachineConfig::default(), &mut trace, &mut Everything0,
-//!                      &RunLimits::unlimited());
+//! let stats = SimSession::new(&MachineConfig::default())
+//!     .run(&mut trace, &mut Everything0, &RunLimits::unlimited());
 //! assert_eq!(stats.committed_uops, 1);
 //! ```
 
@@ -48,7 +53,6 @@
 pub mod cache;
 pub mod cancel;
 pub mod lsq;
-pub mod machine;
 pub mod predictor;
 pub mod queues;
 pub mod session;
@@ -59,10 +63,9 @@ pub mod value;
 pub use cache::{Cache, LoadPath, MemorySystem};
 pub use cancel::{CancelGroup, CancelToken, StopCause};
 pub use lsq::{LoadCheck, Lsq};
-pub use machine::{simulate, Machine, RunLimits};
-pub use predictor::{Gshare, LocalHistory, TraceCache};
+pub use predictor::{LocalHistory, TraceCache};
 pub use queues::{CopyOp, CopySlab, IssueQueue, LinkArbiter};
-pub use session::{SimSession, SkipDiag, StageTimers};
+pub use session::{RunLimits, SimSession, SkipDiag, StageTimers};
 pub use stats::{ClusterStats, IdleCycleKind, SimStats, StallReason};
 pub use steering::{SteerDecision, SteerSummary, SteerView, SteeringPolicy};
 pub use value::{

@@ -259,7 +259,8 @@ impl Lsq {
     /// (`seq' < seq`) stores.
     ///
     /// Older stores with *unknown* addresses are optimistically assumed not
-    /// to conflict (no replay machinery is modelled; see DESIGN.md).
+    /// to conflict: a trace-driven model has no wrong-path or replay
+    /// machinery to recover from a misspeculated load.
     ///
     /// Cost: a scan of the address-line bucket only — no queue lookup at
     /// all. Debug builds assert the result against
@@ -472,7 +473,7 @@ mod tests {
         // The model is exact-address (word) matching: a store at 0x1000 and
         // a load at 0x1004 overlap the same line but are distinct words, so
         // the load goes to the cache — and the scan agrees. (A byte-granular
-        // model would conflict here; DESIGN.md documents the simplification.)
+        // model would conflict here.)
         let mut q = Lsq::new(8);
         q.alloc(1, true);
         q.alloc(2, false);

@@ -8,68 +8,14 @@
 
 use virtclust_uarch::InstId;
 
-/// A gshare branch predictor: global history XOR PC indexing a table of
-/// 2-bit saturating counters.
-#[derive(Debug, Clone)]
-pub struct Gshare {
-    table: Vec<u8>,
-    mask: u64,
-    history: u64,
-    history_bits: u32,
-}
-
-impl Gshare {
-    /// Create a predictor with `2^log2_entries` counters.
-    ///
-    /// The global history is deliberately short (8 bits): with long
-    /// histories every lookup of a noisy stream lands on a cold counter and
-    /// the predictor never warms up. Counters initialize weakly-taken —
-    /// real instruction streams are taken-biased (loop back-edges).
-    pub fn new(log2_entries: u32) -> Self {
-        let entries = 1usize << log2_entries;
-        Gshare {
-            table: vec![2u8; entries], // weakly taken
-            mask: (entries - 1) as u64,
-            history: 0,
-            history_bits: 8.min(log2_entries),
-        }
-    }
-
-    #[inline]
-    fn index(&self, pc: u64) -> usize {
-        // Fold the wide PC surrogate, then XOR in the history.
-        let pc_hash = pc ^ (pc >> 16) ^ (pc >> 32);
-        ((pc_hash ^ self.history) & self.mask) as usize
-    }
-
-    /// Predict the branch at `pc`, then update with the actual `taken`
-    /// outcome (update-at-fetch, the usual trace-driven simplification).
-    /// Returns true if the prediction was correct.
-    pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        let idx = self.index(pc);
-        let counter = self.table[idx];
-        let predicted_taken = counter >= 2;
-
-        // Update 2-bit counter.
-        self.table[idx] = match (taken, counter) {
-            (true, c) if c < 3 => c + 1,
-            (false, c) if c > 0 => c - 1,
-            (_, c) => c,
-        };
-        // Update global history.
-        self.history = ((self.history << 1) | u64::from(taken)) & ((1u64 << self.history_bits) - 1);
-
-        predicted_taken == taken
-    }
-}
-
 /// A two-level local-history branch predictor (PAg style): a per-branch
 /// history table feeding a shared pattern table of 2-bit counters.
 ///
-/// This is the machine's default predictor. Unlike [`Gshare`], it learns
-/// *per-site* repetitive patterns (loop rhythms, if/else periodicities)
-/// even when the global interleaving of branches is effectively random —
-/// which matches both real workloads and the synthetic suite.
+/// This is the machine's predictor. Unlike a global-history (gshare)
+/// design, it learns *per-site* repetitive patterns (loop rhythms, if/else
+/// periodicities) even when the global interleaving of branches is
+/// effectively random — which matches both real workloads and the
+/// synthetic suite.
 #[derive(Debug, Clone)]
 pub struct LocalHistory {
     histories: Vec<u16>,
@@ -215,66 +161,6 @@ pub fn pc_of(inst: InstId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gshare_learns_a_stable_branch() {
-        let mut p = Gshare::new(10);
-        // Warm up: the global history register must saturate to all-taken
-        // before the indexed counters stabilise.
-        for _ in 0..50 {
-            p.predict_and_update(0x400, true);
-        }
-        let mut wrong = 0;
-        for _ in 0..100 {
-            if !p.predict_and_update(0x400, true) {
-                wrong += 1;
-            }
-        }
-        assert_eq!(
-            wrong, 0,
-            "always-taken is perfectly predictable after warm-up"
-        );
-    }
-
-    #[test]
-    fn gshare_learns_alternating_pattern_via_history() {
-        let mut p = Gshare::new(12);
-        let mut outcome = false;
-        let mut wrong_tail = 0;
-        for i in 0..400 {
-            outcome = !outcome;
-            let correct = p.predict_and_update(0x80, outcome);
-            if i >= 200 && !correct {
-                wrong_tail += 1;
-            }
-        }
-        assert!(
-            wrong_tail < 20,
-            "history should capture alternation, got {wrong_tail}"
-        );
-    }
-
-    #[test]
-    fn gshare_struggles_on_random_like_stream() {
-        let mut p = Gshare::new(10);
-        // A pseudo-random-ish pattern with long period.
-        let mut x: u64 = 0x12345678;
-        let mut wrong = 0;
-        let n = 2000;
-        for _ in 0..n {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let taken = (x >> 62) & 1 == 1;
-            if !p.predict_and_update(0x40, taken) {
-                wrong += 1;
-            }
-        }
-        assert!(
-            wrong > n / 5,
-            "hard stream should miss often, got {wrong}/{n}"
-        );
-    }
 
     #[test]
     fn trace_cache_hits_resident_regions() {

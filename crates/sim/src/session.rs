@@ -1,23 +1,46 @@
-//! Reusable simulation sessions.
+//! The cycle-level clustered out-of-order machine (Fig. 1 of the paper),
+//! as a reusable simulation session.
+//!
+//! ```text
+//!        ┌──────────────────────────────────────────────┐
+//!        │        monolithic front-end                  │
+//!        │  trace cache → fetch → decode/rename/steer   │
+//!        └───────┬───────────────┬──────────────────────┘
+//!                ▼               ▼
+//!        ┌──────────────┐ ┌──────────────┐
+//!        │  cluster 0   │ │  cluster 1   │   … (per cluster: INT/FP/COPY
+//!        │ IQs RF FUs   │◄┤ IQs RF FUs   │      issue queues, register
+//!        └──────┬───────┘ └──────┬───────┘      files, functional units)
+//!               │    point-to-point copy links
+//!               ▼                ▼
+//!        ┌──────────────────────────────┐
+//!        │ unified LSQ + L1D + L2 + mem │
+//!        └──────────────────────────────┘
+//! ```
+//!
+//! One [`SimSession::step`] is one cycle — or, when the machine is provably
+//! idle, one *span* of cycles skipped in O(1) with bit-identical
+//! statistics. Stage order within a cycle (standard reverse-pipeline
+//! update): completion events → commit → store drain → memory stage →
+//! issue → dispatch/steer → fetch.
 //!
 //! A [`SimSession`] owns every piece of heap state a simulation needs — the
 //! event calendar, ROB/LSQ/issue-queue buffers, rename and value tables,
 //! cache line arrays, predictor tables, occupancy scratch — and survives
 //! across runs: [`SimSession::reset`] returns all of it to the
 //! post-construction state by clearing in place instead of reallocating.
-//! One session can therefore serve an arbitrary stream of heterogeneous
-//! jobs (different machine configurations, steering policies and trace
-//! sources) at a fraction of the per-run setup cost of building a fresh
-//! [`crate::Machine`] each time — the state a 2-cluster machine allocates
-//! up front (L2 line array, predictor tables, event calendar) is on the
-//! order of a megabyte, all of which a reset simply re-zeroes.
+//! A one-off run is `SimSession::new(cfg).run(..)`; a batch holds one
+//! session and calls [`SimSession::simulate`] per run, serving an
+//! arbitrary stream of heterogeneous jobs (different machine
+//! configurations, steering policies and trace sources) without the
+//! per-run setup cost — the state a 2-cluster machine allocates up front
+//! (L2 line array, predictor tables, event calendar) is on the order of a
+//! megabyte, all of which a reset simply re-zeroes.
 //!
 //! The contract, enforced by tests here, in `crates/core` and in the
 //! workspace `tests/properties.rs`, is **bit-identical statistics**: a
-//! reused session produces exactly the [`SimStats`] of a fresh
-//! [`crate::Machine::new`] run for every configuration and policy.
-//! [`crate::Machine`] and [`crate::simulate`] are thin per-run views over a
-//! private session.
+//! reused session produces exactly the [`SimStats`] of a freshly built one
+//! for every configuration and policy.
 //!
 //! Besides reuse, the session is where the simulator's per-cycle hot paths
 //! were removed (ROADMAP "Hot-path profiling"):
@@ -64,7 +87,6 @@ use virtclust_uarch::{
 use crate::cache::{LoadPath, MemorySystem};
 use crate::cancel::{CancelToken, InterruptState, StopCause};
 use crate::lsq::{LoadCheck, Lsq};
-use crate::machine::RunLimits;
 use crate::predictor::{pc_of, LocalHistory, TraceCache};
 use crate::queues::{CopyOp, CopySlab, IssueQueue, LinkArbiter};
 use crate::stats::{IdleCycleKind, SimStats, StallReason};
@@ -406,6 +428,30 @@ impl ObserverState {
         self.sink.on_interval(&sample);
         self.index += 1;
         self.prev = stats.clone();
+    }
+}
+
+/// Run-length limits for a simulation.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunLimits {
+    /// Stop fetching after this many trace micro-ops (then drain).
+    pub max_uops: Option<u64>,
+    /// Hard cycle limit (simulation aborts cleanly when reached).
+    pub max_cycles: Option<u64>,
+}
+
+impl RunLimits {
+    /// Limit by micro-op count only.
+    pub fn uops(n: u64) -> Self {
+        RunLimits {
+            max_uops: Some(n),
+            max_cycles: None,
+        }
+    }
+
+    /// No limits: run the whole trace.
+    pub fn unlimited() -> Self {
+        RunLimits::default()
     }
 }
 
@@ -1774,8 +1820,8 @@ impl SimSession {
     // ------------------------------------------------------------------
 
     /// Advance the machine by one cycle — or, when the machine is provably
-    /// idle (see [`SimSession::idle_span`]), directly to the next cycle
-    /// where anything can happen, replicating the skipped cycles' counters
+    /// idle (see the module docs), directly to the next cycle where
+    /// anything can happen, replicating the skipped cycles' counters
     /// arithmetically. Statistics after any number of steps are
     /// bit-identical to single-stepping; only [`SimSession::cycle`]'s
     /// stride differs. `VIRTCLUST_NO_SKIP=1` (or
@@ -2430,10 +2476,10 @@ impl SimSession {
     }
 
     /// Run from the current state to completion (or until a limit
-    /// triggers), returning the statistics. Resets `policy` first, exactly
-    /// as [`crate::Machine::run`] does. The session is left *dirty*: call
-    /// [`SimSession::reset`] (or [`SimSession::simulate`], which does)
-    /// before the next run.
+    /// triggers), returning the statistics. Resets `policy` first. On a
+    /// new session this is a one-off run: `SimSession::new(cfg).run(..)`.
+    /// The session is left *dirty*: call [`SimSession::reset`] (or
+    /// [`SimSession::simulate`], which does) before the next run.
     pub fn run(
         &mut self,
         trace: &mut dyn TraceSource,
@@ -2469,7 +2515,7 @@ impl SimSession {
     }
 
     /// Reset to `cfg` and run one complete simulation — the batch-engine
-    /// entry point. Bit-identical to `simulate(cfg, …)` on a fresh machine,
+    /// entry point. Bit-identical to `SimSession::new(cfg).run(..)`,
     /// without the per-run allocation cost.
     pub fn simulate(
         &mut self,
@@ -2486,7 +2532,6 @@ impl SimSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{simulate, Machine};
     use virtclust_uarch::{ArchReg, Region, RegionBuilder, SliceTrace};
 
     /// Round-robin per uop (maximally copy-happy).
@@ -2553,7 +2598,7 @@ mod tests {
         for (cfg, limits) in &runs {
             let fresh = {
                 let mut trace = SliceTrace::new(&uops);
-                simulate(cfg, &mut trace, &mut RoundRobin(0), limits)
+                SimSession::new(cfg).run(&mut trace, &mut RoundRobin(0), limits)
             };
             let reused = {
                 let mut trace = SliceTrace::new(&uops);
@@ -2576,6 +2621,12 @@ mod tests {
             for _ in 0..37 {
                 session.step(&mut trace, &mut policy, &RunLimits::unlimited());
             }
+            // Turning skipping off mid-run makes the very next step one
+            // cycle; the override then holds for the reused run below.
+            session.set_cycle_skipping(false);
+            let at = session.cycle();
+            session.step(&mut trace, &mut policy, &RunLimits::unlimited());
+            assert_eq!(session.cycle(), at + 1, "strict stepping when forced off");
             assert!(!session.done(), "state must be mid-flight");
         }
         session.reset(&cfg);
@@ -2591,12 +2642,7 @@ mod tests {
         };
         let fresh = {
             let mut trace = SliceTrace::new(&uops);
-            simulate(
-                &cfg,
-                &mut trace,
-                &mut RoundRobin(0),
-                &RunLimits::unlimited(),
-            )
+            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
         };
         assert_eq!(fresh, reused);
     }
@@ -2635,12 +2681,7 @@ mod tests {
         assert_eq!(session.stop_cause(), None);
         let fresh = {
             let mut trace = SliceTrace::new(&uops);
-            simulate(
-                &cfg,
-                &mut trace,
-                &mut RoundRobin(0),
-                &RunLimits::unlimited(),
-            )
+            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
         };
         assert_eq!(fresh, reused, "post-cancellation runs are unperturbed");
     }
@@ -2710,12 +2751,7 @@ mod tests {
         let cfg = MachineConfig::default();
         let bare = {
             let mut trace = SliceTrace::new(&uops);
-            simulate(
-                &cfg,
-                &mut trace,
-                &mut RoundRobin(0),
-                &RunLimits::unlimited(),
-            )
+            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
         };
         let mut session = SimSession::new(&cfg);
         let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
@@ -2736,12 +2772,7 @@ mod tests {
         let cfg = MachineConfig::default();
         let bare = {
             let mut trace = SliceTrace::new(&uops);
-            simulate(
-                &cfg,
-                &mut trace,
-                &mut RoundRobin(0),
-                &RunLimits::unlimited(),
-            )
+            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
         };
         let mut session = SimSession::new(&cfg);
         let token = CancelToken::new(); // never cancelled
@@ -2771,34 +2802,13 @@ mod tests {
     }
 
     #[test]
-    fn machine_is_a_thin_view_over_a_session() {
-        let region = mixed_region();
-        let uops = expand(&region, 40);
-        let cfg = MachineConfig::default();
-        let via_machine = {
-            let mut trace = SliceTrace::new(&uops);
-            Machine::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
-        };
-        let via_session = {
-            let mut trace = SliceTrace::new(&uops);
-            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
-        };
-        assert_eq!(via_machine, via_session);
-    }
-
-    #[test]
     fn step_timed_is_bit_identical_to_step_and_fills_buckets() {
         let region = mixed_region();
         let uops = expand(&region, 80);
         let cfg = MachineConfig::default();
         let untimed = {
             let mut trace = SliceTrace::new(&uops);
-            simulate(
-                &cfg,
-                &mut trace,
-                &mut RoundRobin(0),
-                &RunLimits::unlimited(),
-            )
+            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
         };
         let mut session = SimSession::new(&cfg);
         let mut trace = SliceTrace::new(&uops);
@@ -2854,12 +2864,8 @@ mod tests {
         );
         assert_eq!(session.pending_wakeups(), 0);
         let mut trace = SliceTrace::new(&uops);
-        let fresh = simulate(
-            &cfg,
-            &mut trace,
-            &mut RoundRobin(0),
-            &RunLimits::unlimited(),
-        );
+        let fresh =
+            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited());
         assert_eq!(fresh, reused);
     }
 
@@ -3056,12 +3062,7 @@ mod tests {
         let cfg = MachineConfig::default();
         let unobserved = {
             let mut trace = SliceTrace::new(&uops);
-            simulate(
-                &cfg,
-                &mut trace,
-                &mut RoundRobin(0),
-                &RunLimits::unlimited(),
-            )
+            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
         };
         let (_, observed) = observed_run(&uops, &cfg, 100, true);
         assert_eq!(unobserved, observed);

@@ -98,17 +98,189 @@ impl IdleCycleKind {
     }
 }
 
-/// Per-cluster counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClusterStats {
-    /// Micro-ops dispatched to this cluster (excluding copies).
-    pub dispatched: u64,
-    /// Copy micro-ops inserted into this cluster's copy queue.
-    pub copies_inserted: u64,
-    /// Micro-ops issued from this cluster's INT+FP queues.
-    pub issued: u64,
-    /// Sum over cycles of in-flight micro-op count (for average occupancy).
-    pub occupancy_integral: u64,
+/// One counter field of [`SimStats`]: how the generated field-wise
+/// difference, sum and canonical encoding treat it.
+trait Counter {
+    /// `self - prev`, where `prev` is an earlier snapshot of the same run.
+    fn delta(&self, prev: &Self) -> Self;
+    /// Fold an interval delta into `self`.
+    fn add(&mut self, other: &Self);
+    /// Write the field as canonical `key=value` lines.
+    fn write(&self, key: &str, out: &mut impl fmt::Write) -> fmt::Result;
+}
+
+impl Counter for u64 {
+    fn delta(&self, prev: &Self) -> Self {
+        self - prev
+    }
+    fn add(&mut self, other: &Self) {
+        *self += other;
+    }
+    fn write(&self, key: &str, out: &mut impl fmt::Write) -> fmt::Result {
+        writeln!(out, "{key}={self}")
+    }
+}
+
+/// Per-[`StallReason`] counters, one `key.reason=value` line each.
+impl Counter for [u64; 6] {
+    fn delta(&self, prev: &Self) -> Self {
+        std::array::from_fn(|i| self[i] - prev[i])
+    }
+    fn add(&mut self, other: &Self) {
+        for (a, b) in self.iter_mut().zip(other) {
+            *a += b;
+        }
+    }
+    fn write(&self, key: &str, out: &mut impl fmt::Write) -> fmt::Result {
+        for reason in StallReason::ALL {
+            writeln!(out, "{key}.{reason}={}", self[reason.index()])?;
+        }
+        Ok(())
+    }
+}
+
+/// One `cluster<i>=name:value,…` line per cluster.
+impl Counter for Vec<ClusterStats> {
+    fn delta(&self, prev: &Self) -> Self {
+        debug_assert_eq!(self.len(), prev.len());
+        self.iter().zip(prev).map(|(c, p)| c.delta(p)).collect()
+    }
+    fn add(&mut self, other: &Self) {
+        if self.is_empty() {
+            *self = vec![ClusterStats::default(); other.len()];
+        }
+        debug_assert_eq!(self.len(), other.len());
+        for (c, o) in self.iter_mut().zip(other) {
+            c.add(o);
+        }
+    }
+    fn write(&self, _key: &str, out: &mut impl fmt::Write) -> fmt::Result {
+        for (i, c) in self.iter().enumerate() {
+            write!(out, "cluster{i}=")?;
+            c.write_fields(out)?;
+            writeln!(out)?;
+        }
+        Ok(())
+    }
+}
+
+/// Declares [`ClusterStats`] and [`SimStats`] from one field list each and
+/// generates from those lists everything that must cover every counter:
+/// field-wise difference and sum, and the canonical encoding. A new
+/// counter is one field here; only `replicate_idle_cycles` must also take
+/// a stance on it by hand (its exhaustive destructure fails to compile
+/// until it does).
+macro_rules! counters {
+    (
+        $(#[$cmeta:meta])*
+        pub struct ClusterStats { $($(#[$cdoc:meta])* pub $c:ident: u64,)* }
+        $(#[$smeta:meta])*
+        pub struct SimStats { $($(#[$sdoc:meta])* pub $s:ident: $sty:ty,)* }
+    ) => {
+        $(#[$cmeta])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct ClusterStats { $($(#[$cdoc])* pub $c: u64,)* }
+
+        impl ClusterStats {
+            fn delta(&self, prev: &Self) -> Self {
+                ClusterStats { $($c: self.$c - prev.$c,)* }
+            }
+
+            fn add(&mut self, other: &Self) {
+                $(self.$c += other.$c;)*
+            }
+
+            /// `name:value` per field, comma-separated.
+            fn write_fields(&self, out: &mut impl fmt::Write) -> fmt::Result {
+                let fields = [$((stringify!($c), self.$c)),*];
+                for (i, (name, value)) in fields.into_iter().enumerate() {
+                    let sep = if i == 0 { "" } else { "," };
+                    write!(out, "{sep}{name}:{value}")?;
+                }
+                Ok(())
+            }
+        }
+
+        $(#[$smeta])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct SimStats { $($(#[$sdoc])* pub $s: $sty,)* }
+
+        impl SimStats {
+            /// Field-wise difference `self - prev`, where `prev` is an
+            /// earlier snapshot of the same run (so every counter of `self`
+            /// is ≥ its counterpart in `prev`). This is what the interval
+            /// observer emits every K cycles.
+            pub fn delta_since(&self, prev: &SimStats) -> SimStats {
+                SimStats { $($s: self.$s.delta(&prev.$s),)* }
+            }
+
+            /// Field-wise sum: fold `other` (an interval delta) into
+            /// `self`. Inverse of [`SimStats::delta_since`]: summing every
+            /// interval delta of a run reconstructs its final stats
+            /// exactly, which the interval proptests check field by field.
+            pub fn accumulate(&mut self, other: &SimStats) {
+                $(self.$s.add(&other.$s);)*
+            }
+
+            /// Write every field as stable `key=value` lines, in
+            /// declaration order: the canonical encoding the golden pins
+            /// (`results/golden/`) hold and the service's stats digest
+            /// hashes.
+            pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
+                $(self.$s.write(stringify!($s), out)?;)*
+                Ok(())
+            }
+        }
+    };
+}
+
+counters! {
+    /// Per-cluster counters.
+    pub struct ClusterStats {
+        /// Micro-ops dispatched to this cluster (excluding copies).
+        pub dispatched: u64,
+        /// Copy micro-ops inserted into this cluster's copy queue.
+        pub copies_inserted: u64,
+        /// Micro-ops issued from this cluster's INT+FP queues.
+        pub issued: u64,
+        /// Sum over cycles of in-flight micro-op count (for average occupancy).
+        pub occupancy_integral: u64,
+    }
+
+    /// Full statistics of one simulation run.
+    pub struct SimStats {
+        /// Cycles simulated.
+        pub cycles: u64,
+        /// Program micro-ops committed (copies excluded).
+        pub committed_uops: u64,
+        /// Copy micro-ops generated by the steering/copy-generation logic.
+        pub copies_generated: u64,
+        /// Copy micro-ops delivered across a link.
+        pub copies_delivered: u64,
+        /// Dispatch-stall events per [`StallReason`] (one per stalled cycle).
+        pub dispatch_stalls: [u64; 6],
+        /// Cycles in which dispatch dispatched zero micro-ops because the
+        /// front-end had none ready (includes mispredict refill bubbles).
+        pub frontend_starved_cycles: u64,
+        /// Branches committed.
+        pub branches: u64,
+        /// Branch mispredictions.
+        pub mispredicts: u64,
+        /// L1 data-cache load hits.
+        pub l1_hits: u64,
+        /// L1 data-cache load misses.
+        pub l1_misses: u64,
+        /// L2 load hits (of L1 misses).
+        pub l2_hits: u64,
+        /// L2 load misses (main-memory accesses).
+        pub l2_misses: u64,
+        /// Loads satisfied by store-to-load forwarding.
+        pub store_forwards: u64,
+        /// Trace-cache misses (front-end refill bubbles).
+        pub trace_cache_misses: u64,
+        /// Per-cluster counters.
+        pub clusters: Vec<ClusterStats>,
+    }
 }
 
 impl ClusterStats {
@@ -116,8 +288,7 @@ impl ClusterStats {
     /// frozen at `inflight`, so the occupancy integral grows linearly and
     /// every activity counter stays put. The exhaustive destructuring
     /// fails to compile when `ClusterStats` grows a field, forcing every
-    /// new counter to take an explicit stance on idle-span replication
-    /// (the same discipline as the golden-stats serializer).
+    /// new counter to take an explicit stance on idle-span replication.
     pub fn replicate_idle_cycles(&mut self, span: u64, inflight: u32) {
         let ClusterStats {
             dispatched: _,      // dispatch is provably inert on an idle cycle
@@ -127,42 +298,6 @@ impl ClusterStats {
         } = self;
         *occupancy_integral += u64::from(inflight) * span;
     }
-}
-
-/// Full statistics of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SimStats {
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Program micro-ops committed (copies excluded).
-    pub committed_uops: u64,
-    /// Copy micro-ops generated by the steering/copy-generation logic.
-    pub copies_generated: u64,
-    /// Copy micro-ops delivered across a link.
-    pub copies_delivered: u64,
-    /// Dispatch-stall events per [`StallReason`] (one per stalled cycle).
-    pub dispatch_stalls: [u64; 6],
-    /// Cycles in which dispatch dispatched zero micro-ops because the
-    /// front-end had none ready (includes mispredict refill bubbles).
-    pub frontend_starved_cycles: u64,
-    /// Branches committed.
-    pub branches: u64,
-    /// Branch mispredictions.
-    pub mispredicts: u64,
-    /// L1 data-cache load hits.
-    pub l1_hits: u64,
-    /// L1 data-cache load misses.
-    pub l1_misses: u64,
-    /// L2 load hits (of L1 misses).
-    pub l2_hits: u64,
-    /// L2 load misses (main-memory accesses).
-    pub l2_misses: u64,
-    /// Loads satisfied by store-to-load forwarding.
-    pub store_forwards: u64,
-    /// Trace-cache misses (front-end refill bubbles).
-    pub trace_cache_misses: u64,
-    /// Per-cluster counters.
-    pub clusters: Vec<ClusterStats>,
 }
 
 impl SimStats {
@@ -210,183 +345,6 @@ impl SimStats {
         for (c, &n) in clusters.iter_mut().zip(inflight) {
             c.replicate_idle_cycles(span, n);
         }
-    }
-
-    /// Field-wise difference `self - prev`, where `prev` is an earlier
-    /// snapshot of the same run (so every counter of `self` is ≥ its
-    /// counterpart in `prev`). This is what the interval observer emits
-    /// every K cycles. The exhaustive destructuring fails to compile when
-    /// `SimStats` grows a field, so a new counter can never silently
-    /// vanish from interval telemetry — the same discipline as
-    /// [`SimStats::replicate_idle_cycles`].
-    pub fn delta_since(&self, prev: &SimStats) -> SimStats {
-        let SimStats {
-            cycles,
-            committed_uops,
-            copies_generated,
-            copies_delivered,
-            dispatch_stalls,
-            frontend_starved_cycles,
-            branches,
-            mispredicts,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            store_forwards,
-            trace_cache_misses,
-            clusters,
-        } = self;
-        debug_assert_eq!(clusters.len(), prev.clusters.len());
-        SimStats {
-            cycles: cycles - prev.cycles,
-            committed_uops: committed_uops - prev.committed_uops,
-            copies_generated: copies_generated - prev.copies_generated,
-            copies_delivered: copies_delivered - prev.copies_delivered,
-            dispatch_stalls: std::array::from_fn(|i| dispatch_stalls[i] - prev.dispatch_stalls[i]),
-            frontend_starved_cycles: frontend_starved_cycles - prev.frontend_starved_cycles,
-            branches: branches - prev.branches,
-            mispredicts: mispredicts - prev.mispredicts,
-            l1_hits: l1_hits - prev.l1_hits,
-            l1_misses: l1_misses - prev.l1_misses,
-            l2_hits: l2_hits - prev.l2_hits,
-            l2_misses: l2_misses - prev.l2_misses,
-            store_forwards: store_forwards - prev.store_forwards,
-            trace_cache_misses: trace_cache_misses - prev.trace_cache_misses,
-            clusters: clusters
-                .iter()
-                .zip(&prev.clusters)
-                .map(|(c, p)| {
-                    let ClusterStats {
-                        dispatched,
-                        copies_inserted,
-                        issued,
-                        occupancy_integral,
-                    } = c;
-                    ClusterStats {
-                        dispatched: dispatched - p.dispatched,
-                        copies_inserted: copies_inserted - p.copies_inserted,
-                        issued: issued - p.issued,
-                        occupancy_integral: occupancy_integral - p.occupancy_integral,
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Field-wise sum: fold `other` (an interval delta) into `self`.
-    /// Inverse of [`SimStats::delta_since`]: summing every interval delta
-    /// of a run reconstructs its final stats exactly, which the interval
-    /// proptests check field by field. The exhaustive destructuring keeps
-    /// this in lockstep with the struct definition.
-    pub fn accumulate(&mut self, other: &SimStats) {
-        let SimStats {
-            cycles,
-            committed_uops,
-            copies_generated,
-            copies_delivered,
-            dispatch_stalls,
-            frontend_starved_cycles,
-            branches,
-            mispredicts,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            store_forwards,
-            trace_cache_misses,
-            clusters,
-        } = self;
-        *cycles += other.cycles;
-        *committed_uops += other.committed_uops;
-        *copies_generated += other.copies_generated;
-        *copies_delivered += other.copies_delivered;
-        for (a, b) in dispatch_stalls.iter_mut().zip(&other.dispatch_stalls) {
-            *a += b;
-        }
-        *frontend_starved_cycles += other.frontend_starved_cycles;
-        *branches += other.branches;
-        *mispredicts += other.mispredicts;
-        *l1_hits += other.l1_hits;
-        *l1_misses += other.l1_misses;
-        *l2_hits += other.l2_hits;
-        *l2_misses += other.l2_misses;
-        *store_forwards += other.store_forwards;
-        *trace_cache_misses += other.trace_cache_misses;
-        if clusters.is_empty() {
-            *clusters = vec![ClusterStats::default(); other.clusters.len()];
-        }
-        debug_assert_eq!(clusters.len(), other.clusters.len());
-        for (c, o) in clusters.iter_mut().zip(&other.clusters) {
-            let ClusterStats {
-                dispatched,
-                copies_inserted,
-                issued,
-                occupancy_integral,
-            } = c;
-            *dispatched += o.dispatched;
-            *copies_inserted += o.copies_inserted;
-            *issued += o.issued;
-            *occupancy_integral += o.occupancy_integral;
-        }
-    }
-
-    /// Write every field as stable `key=value` lines: the canonical
-    /// encoding the golden pins (`results/golden/`) hold and the service's
-    /// stats digest hashes. The exhaustive destructuring fails to compile
-    /// when `SimStats` grows a field, so neither can silently under-cover.
-    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        let SimStats {
-            cycles,
-            committed_uops,
-            copies_generated,
-            copies_delivered,
-            dispatch_stalls,
-            frontend_starved_cycles,
-            branches,
-            mispredicts,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            store_forwards,
-            trace_cache_misses,
-            clusters,
-        } = self;
-        writeln!(out, "cycles={cycles}")?;
-        writeln!(out, "committed_uops={committed_uops}")?;
-        writeln!(out, "copies_generated={copies_generated}")?;
-        writeln!(out, "copies_delivered={copies_delivered}")?;
-        for reason in StallReason::ALL {
-            writeln!(
-                out,
-                "dispatch_stalls.{reason}={}",
-                dispatch_stalls[reason.index()]
-            )?;
-        }
-        writeln!(out, "frontend_starved_cycles={frontend_starved_cycles}")?;
-        writeln!(out, "branches={branches}")?;
-        writeln!(out, "mispredicts={mispredicts}")?;
-        writeln!(out, "l1_hits={l1_hits}")?;
-        writeln!(out, "l1_misses={l1_misses}")?;
-        writeln!(out, "l2_hits={l2_hits}")?;
-        writeln!(out, "l2_misses={l2_misses}")?;
-        writeln!(out, "store_forwards={store_forwards}")?;
-        writeln!(out, "trace_cache_misses={trace_cache_misses}")?;
-        for (i, c) in clusters.iter().enumerate() {
-            let ClusterStats {
-                dispatched,
-                copies_inserted,
-                issued,
-                occupancy_integral,
-            } = c;
-            writeln!(
-                out,
-                "cluster{i}=dispatched:{dispatched},copies_inserted:{copies_inserted},\
-                 issued:{issued},occupancy_integral:{occupancy_integral}"
-            )?;
-        }
-        Ok(())
     }
 
     /// Committed micro-ops per cycle (copies excluded, as the paper's IPC).

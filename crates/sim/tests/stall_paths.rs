@@ -4,60 +4,22 @@
 //! the machine still completes the program exactly.
 #![allow(clippy::field_reassign_with_default)] // configs are tweaked per test
 
-use virtclust_sim::{
-    simulate, RunLimits, SimStats, StallReason, SteerDecision, SteerView, SteeringPolicy,
-};
+mod common;
+
+use common::{expand, r, RoundRobin, ToZero};
+use virtclust_sim::{RunLimits, SimSession, SimStats, StallReason, SteeringPolicy};
 use virtclust_uarch::{
-    ArchReg, DynUop, MachineConfig, OpClass, Region, RegionBuilder, StaticInst, VecTrace,
+    DynUop, MachineConfig, OpClass, Region, RegionBuilder, StaticInst, VecTrace,
 };
 
-struct ToZero;
-impl SteeringPolicy for ToZero {
-    fn name(&self) -> String {
-        "to-zero".into()
-    }
-    fn steer(&mut self, _u: &DynUop, _v: &SteerView<'_>) -> SteerDecision {
-        SteerDecision::Cluster(0)
-    }
-}
-
-struct RoundRobin(u8);
-impl SteeringPolicy for RoundRobin {
-    fn name(&self) -> String {
-        "rr".into()
-    }
-    fn steer(&mut self, _u: &DynUop, view: &SteerView<'_>) -> SteerDecision {
-        let c = self.0;
-        self.0 = (self.0 + 1) % view.num_clusters() as u8;
-        SteerDecision::Cluster(c)
-    }
-    fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-fn r(i: u8) -> ArchReg {
-    ArchReg::int(i)
-}
-
-fn expand(region: &Region, iters: usize) -> Vec<DynUop> {
-    let mut uops = Vec::new();
-    let mut seq = 0;
-    for _ in 0..iters {
-        seq = virtclust_uarch::trace::expand_region(
-            region,
-            seq,
-            &mut uops,
-            |s, _| 0x100000 + (s * 8192) % (1 << 24), // miss-heavy stream
-            |_, _| true,
-        );
-    }
-    uops
+/// A miss-heavy address stream.
+fn miss_heavy(s: u64) -> u64 {
+    0x100000 + (s * 8192) % (1 << 24)
 }
 
 fn run(cfg: &MachineConfig, uops: &[DynUop], policy: &mut dyn SteeringPolicy) -> SimStats {
     let mut trace = VecTrace::new(uops.to_vec());
-    simulate(cfg, &mut trace, policy, &RunLimits::unlimited())
+    SimSession::new(cfg).run(&mut trace, policy, &RunLimits::unlimited())
 }
 
 #[test]
@@ -72,7 +34,7 @@ fn iq_full_stalls_are_detected_and_program_completes() {
         .alu(r(4), &[r(2)])
         .alu(r(5), &[r(2)])
         .build();
-    let uops = expand(&region, 60);
+    let uops = expand(&region, 60, miss_heavy);
     let stats = run(&cfg, &uops, &mut ToZero);
     assert_eq!(stats.committed_uops, uops.len() as u64);
     assert!(
@@ -90,7 +52,7 @@ fn lsq_full_stalls_are_detected() {
     for i in 2..8u8 {
         b = b.load(r(i), r(1));
     }
-    let uops = expand(&b.build(), 60);
+    let uops = expand(&b.build(), 60, miss_heavy);
     let stats = run(&cfg, &uops, &mut ToZero);
     assert_eq!(stats.committed_uops, uops.len() as u64);
     assert!(stats.dispatch_stalls[StallReason::LsqFull.index()] > 0);
@@ -106,7 +68,7 @@ fn rob_full_stalls_are_detected() {
         .alu(r(4), &[r(4)])
         .alu(r(5), &[r(5)])
         .build();
-    let uops = expand(&region, 40);
+    let uops = expand(&region, 40, miss_heavy);
     let stats = run(&cfg, &uops, &mut ToZero);
     assert_eq!(stats.committed_uops, uops.len() as u64);
     assert!(stats.dispatch_stalls[StallReason::RobFull.index()] > 0);
@@ -122,7 +84,7 @@ fn copy_queue_full_stalls_are_detected() {
     for _ in 0..6 {
         b = b.alu(r(1), &[r(1)]);
     }
-    let uops = expand(&b.build(), 80);
+    let uops = expand(&b.build(), 80, miss_heavy);
     let stats = run(&cfg, &uops, &mut RoundRobin(0));
     assert_eq!(stats.committed_uops, uops.len() as u64);
     assert!(stats.copies_generated > 0);
@@ -144,7 +106,7 @@ fn rf_full_stalls_are_detected() {
         .alu(r(6), &[r(5)])
         .alu(r(7), &[r(6)])
         .build();
-    let uops = expand(&region, 80);
+    let uops = expand(&region, 80, miss_heavy);
     let stats = run(&cfg, &uops, &mut ToZero);
     assert_eq!(stats.committed_uops, uops.len() as u64);
     assert!(
@@ -160,7 +122,7 @@ fn nops_flow_through_the_pipeline() {
     for _ in 0..10 {
         region.push(StaticInst::new(OpClass::Nop, &[], None));
     }
-    let uops = expand(&region, 5);
+    let uops = expand(&region, 5, miss_heavy);
     let stats = run(&MachineConfig::default(), &uops, &mut ToZero);
     assert_eq!(stats.committed_uops, 50);
     assert_eq!(stats.copies_generated, 0);
@@ -177,7 +139,7 @@ fn stats_are_internally_consistent_under_pressure() {
         .store(r(1), r(3))
         .branch(r(3))
         .build();
-    let uops = expand(&region, 100);
+    let uops = expand(&region, 100, miss_heavy);
     let stats = run(&cfg, &uops, &mut RoundRobin(0));
     assert_eq!(stats.committed_uops, uops.len() as u64);
     let dispatched: u64 = stats.clusters.iter().map(|c| c.dispatched).sum();

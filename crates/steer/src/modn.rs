@@ -58,7 +58,7 @@ impl SteeringPolicy for ModN {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virtclust_sim::{simulate, RunLimits};
+    use virtclust_sim::{RunLimits, SimSession};
     use virtclust_uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace};
 
     fn r(i: u8) -> ArchReg {
@@ -80,8 +80,7 @@ mod tests {
     fn slices_rotate_round_robin() {
         let uops = serial_trace(12);
         let mut trace = SliceTrace::new(&uops);
-        let stats = simulate(
-            &MachineConfig::default(),
+        let stats = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut ModN::new(3),
             &RunLimits::unlimited(),
@@ -95,8 +94,7 @@ mod tests {
     fn serial_chain_pays_one_copy_per_slice_boundary() {
         let uops = serial_trace(12);
         let mut trace = SliceTrace::new(&uops);
-        let stats = simulate(
-            &MachineConfig::default(),
+        let stats = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut ModN::new(3),
             &RunLimits::unlimited(),
@@ -111,8 +109,7 @@ mod tests {
         let uops = serial_trace(400);
         let run = |policy: &mut dyn SteeringPolicy| {
             let mut trace = SliceTrace::new(&uops);
-            simulate(
-                &MachineConfig::default(),
+            SimSession::new(&MachineConfig::default()).run(
                 &mut trace,
                 policy,
                 &RunLimits::unlimited(),
@@ -134,8 +131,7 @@ mod tests {
         let uops = serial_trace(8);
         let run = || {
             let mut trace = SliceTrace::new(&uops);
-            simulate(
-                &MachineConfig::default(),
+            SimSession::new(&MachineConfig::default()).run(
                 &mut trace,
                 &mut ModN::new(2),
                 &RunLimits::unlimited(),

@@ -60,8 +60,8 @@ impl OccupancyAware {
 
     /// Dependence steering *without* stall-over-steer: when the preferred
     /// cluster is full the micro-op is dumped on any cluster with space.
-    /// This is the pre-[15]/[24] behaviour those papers improved on —
-    /// an ablation of the "stalling beats steering" insight.
+    /// This is the behaviour the paper's references 15 and 24 improved
+    /// on — an ablation of the "stalling beats steering" insight.
     pub fn without_stall() -> Self {
         OccupancyAware {
             mode: LocationMode::Sequential,
@@ -151,7 +151,7 @@ impl SteeringPolicy for OccupancyAware {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virtclust_sim::{simulate, Machine, RunLimits};
+    use virtclust_sim::{RunLimits, SimSession};
     use virtclust_uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace};
 
     fn r(i: u8) -> ArchReg {
@@ -179,13 +179,13 @@ mod tests {
     fn run_sec21(policy: &mut dyn SteeringPolicy) -> virtclust_sim::SimStats {
         let uops = sec21_uops();
         let mut trace = SliceTrace::new(&uops);
-        let mut m = Machine::new(&MachineConfig::default());
+        let mut session = SimSession::new(&MachineConfig::default());
         // Initial placements (mirror of the paper's): r1 in cluster 1,
         // r2 and r3 in cluster 0, both clusters idle.
-        m.place_register(r(1), 1);
-        m.place_register(r(2), 0);
-        m.place_register(r(3), 0);
-        m.run(&mut trace, policy, &RunLimits::unlimited())
+        session.place_register(r(1), 1);
+        session.place_register(r(2), 0);
+        session.place_register(r(3), 0);
+        session.run(&mut trace, policy, &RunLimits::unlimited())
     }
 
     #[test]
@@ -220,9 +220,9 @@ mod tests {
         let mut uops = Vec::new();
         virtclust_uarch::trace::expand_region(&region, 0, &mut uops, |_, _| 0, |_, _| true);
         let mut trace = SliceTrace::new(&uops);
-        let mut m = Machine::new(&MachineConfig::default());
-        m.place_register(r(1), 1);
-        let stats = m.run(
+        let mut session = SimSession::new(&MachineConfig::default());
+        session.place_register(r(1), 1);
+        let stats = session.run(
             &mut trace,
             &mut OccupancyAware::new(),
             &RunLimits::unlimited(),
@@ -256,8 +256,7 @@ mod tests {
             );
         }
         let mut trace = SliceTrace::new(&uops);
-        let stats = simulate(
-            &MachineConfig::default(),
+        let stats = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut OccupancyAware::new(),
             &RunLimits::unlimited(),
@@ -292,12 +291,7 @@ mod tests {
         }
         let run = |p: &mut dyn SteeringPolicy| {
             let mut trace = SliceTrace::new(&uops);
-            simulate(
-                &MachineConfig::default(),
-                &mut trace,
-                p,
-                &RunLimits::unlimited(),
-            )
+            SimSession::new(&MachineConfig::default()).run(&mut trace, p, &RunLimits::unlimited())
         };
         let seq_stats = run(&mut OccupancyAware::new());
         let par_stats = run(&mut OccupancyAware::parallel());

@@ -101,7 +101,7 @@ impl SteeringPolicy for StaticFollow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virtclust_sim::{simulate, RunLimits};
+    use virtclust_sim::{RunLimits, SimSession};
     use virtclust_uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace, SteerHint};
 
     fn r(i: u8) -> ArchReg {
@@ -126,8 +126,7 @@ mod tests {
             );
         }
         let mut trace = SliceTrace::new(&uops);
-        let stats = simulate(
-            &MachineConfig::default(),
+        let stats = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut OneCluster::new(),
             &RunLimits::unlimited(),
@@ -158,8 +157,7 @@ mod tests {
         }
         let mut trace = SliceTrace::new(&uops);
         let mut policy = StaticFollow::new();
-        let stats = simulate(
-            &MachineConfig::default(),
+        let stats = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut policy,
             &RunLimits::unlimited(),
@@ -176,8 +174,7 @@ mod tests {
         virtclust_uarch::trace::expand_region(&region, 0, &mut uops, |_, _| 0, |_, _| true);
         let mut trace = SliceTrace::new(&uops);
         let mut policy = StaticFollow::new();
-        let stats = simulate(
-            &MachineConfig::default(),
+        let stats = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut policy,
             &RunLimits::unlimited(),
@@ -193,8 +190,7 @@ mod tests {
         let mut uops = Vec::new();
         virtclust_uarch::trace::expand_region(&region, 0, &mut uops, |_, _| 0, |_, _| true);
         let mut trace = SliceTrace::new(&uops);
-        let stats = simulate(
-            &MachineConfig::default(),
+        let stats = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut StaticFollow::new(),
             &RunLimits::unlimited(),

@@ -150,7 +150,7 @@ impl SteeringPolicy for VcMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virtclust_sim::{simulate, RunLimits};
+    use virtclust_sim::{RunLimits, SimSession};
     use virtclust_uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace, SteerHint};
 
     fn r(i: u8) -> ArchReg {
@@ -202,8 +202,7 @@ mod tests {
         }
         let mut trace = SliceTrace::new(&uops);
         let mut policy = VcMapper::new(2);
-        let stats = simulate(
-            &MachineConfig::default(),
+        let stats = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut policy,
             &RunLimits::unlimited(),
@@ -239,8 +238,7 @@ mod tests {
         let mut uops = Vec::new();
         virtclust_uarch::trace::expand_region(&region, 0, &mut uops, |_, _| 0, |_, _| true);
         let mut trace = SliceTrace::new(&uops);
-        let stats = simulate(
-            &MachineConfig::default(),
+        let stats = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut VcMapper::new(2),
             &RunLimits::unlimited(),
@@ -255,8 +253,7 @@ mod tests {
         virtclust_uarch::trace::expand_region(&region, 0, &mut uops, |_, _| 0, |_, _| true);
         let mut trace = SliceTrace::new(&uops);
         let mut policy = VcMapper::new(2);
-        let _ = simulate(
-            &MachineConfig::default(),
+        let _ = SimSession::new(&MachineConfig::default()).run(
             &mut trace,
             &mut policy,
             &RunLimits::unlimited(),
@@ -282,8 +279,7 @@ mod tests {
             );
         }
         let mut trace = SliceTrace::new(&uops);
-        let stats = simulate(
-            &MachineConfig::paper_4cluster(),
+        let stats = SimSession::new(&MachineConfig::paper_4cluster()).run(
             &mut trace,
             &mut VcMapper::new(2),
             &RunLimits::unlimited(),

@@ -18,7 +18,8 @@
 //!
 //! Instruction syntax: `i <mnemonic> [<dst> =] <src>… [@cluster <n> |
 //! @vc <n> [leader]]` with registers `r0`–`r15` (integer) and `f0`–`f15`
-//! (floating-point). Mnemonics are [`OpClass::mnemonic`] names: `alu`,
+//! (floating-point). Mnemonics are
+//! [`OpClass::mnemonic`](virtclust_uarch::OpClass::mnemonic) names: `alu`,
 //! `mul`, `div`, `ld`, `st`, `br`, `fadd`, `fmul`, `fdiv`, `nop`.
 //!
 //! A `program <name>` line names the program (default `imported`);
@@ -39,14 +40,10 @@ use virtclust_uarch::Program;
 use crate::error::Result;
 use crate::text;
 
-// Referenced by the doc comments.
-#[allow(unused_imports)]
-use virtclust_uarch::{OpClass, StaticInst};
-
 /// Parse a kernel description (see the module docs for the grammar).
 ///
 /// Copy micro-ops cannot appear: the grammar resolves mnemonics from
-/// [`OpClass::PROGRAM_CLASSES`] only (copies are hardware-generated and
+/// [`OpClass::PROGRAM_CLASSES`](virtclust_uarch::OpClass::PROGRAM_CLASSES) only (copies are hardware-generated and
 /// have no program-side spelling).
 pub fn parse_kernel(input: &str) -> Result<Program> {
     let lines = input.lines().enumerate().map(|(i, l)| (i as u64 + 1, l));
@@ -62,7 +59,7 @@ pub fn import_kernel_file(path: impl AsRef<Path>) -> Result<Program> {
 mod tests {
     use super::*;
     use crate::error::TraceError;
-    use virtclust_uarch::{ArchReg, RegClass, SteerHint};
+    use virtclust_uarch::{ArchReg, OpClass, RegClass, SteerHint};
 
     const DOTPROD: &str = "\
 # dot product kernel

@@ -8,10 +8,11 @@
 //! This crate adds a **versioned, self-describing on-disk format** with two
 //! interchangeable codecs and the plumbing around it:
 //!
-//! * **format** — a trace file carries the static [`Program`] (regions,
-//!   instructions, steering hints) once, followed by the dynamic stream as
-//!   pure dynamic facts (`seq`, instruction id, memory address, branch
-//!   outcome). Static metadata is *never* duplicated per record: it is
+//! * **format** — a trace file carries the static
+//!   [`Program`](virtclust_uarch::Program) (regions, instructions, steering
+//!   hints) once, followed by the dynamic stream as pure dynamic facts
+//!   (`seq`, instruction id, memory address, branch outcome). Static
+//!   metadata is *never* duplicated per record: it is
 //!   re-derived from the embedded program on read through
 //!   [`StaticInst::instantiate`](virtclust_uarch::StaticInst::instantiate),
 //!   the single source of truth — which is precisely what lets one stored

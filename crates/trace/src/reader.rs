@@ -14,9 +14,8 @@ use crate::{binary, text, Codec};
 /// against the embedded program — a multi-million-uop trace never needs to
 /// be resident in memory.
 ///
-/// The reader implements [`TraceSource`], so it plugs straight into
-/// [`virtclust_sim`](https://docs.rs/)'s `simulate` in place of the live
-/// workload expander. For replay under a different steering scheme, swap
+/// The reader implements [`TraceSource`], so a `virtclust_sim::SimSession`
+/// runs it in place of the live workload expander. For replay under a different steering scheme, swap
 /// the embedded program's annotations with [`TraceReader::set_program`]:
 /// every subsequent record picks up the new hints, because on-disk records
 /// carry only dynamic facts.

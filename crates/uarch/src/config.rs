@@ -138,7 +138,7 @@ pub struct MachineConfig {
     /// Decode/rename/steer width for the FP pipe (paper: "3+3").
     pub dispatch_width_fp: usize,
     /// Reorder-buffer capacity in micro-ops (paper: "256+256 entries",
-    /// modelled as a unified buffer — see DESIGN.md deviations).
+    /// modelled as one unified 512-entry buffer in program order).
     pub rob_entries: usize,
     /// Commit width in micro-ops/cycle (paper: "commit 3+3").
     pub commit_width: usize,
@@ -174,8 +174,9 @@ pub struct MachineConfig {
     pub mem_latency: u32,
     /// Functional-unit latencies.
     pub latencies: LatencyModel,
-    /// log2 of gshare predictor table entries (branch handling is a
-    /// trace-driven approximation; see DESIGN.md deviations).
+    /// log2 of the local-history predictor's pattern-table entries. A
+    /// trace has no wrong path, so a mispredict stops fetch until a
+    /// pipeline depth after the branch resolves.
     pub predictor_log2_entries: u32,
     /// Occupancy fraction above which a cluster counts as "busy" for the
     /// occupancy-aware (OP) policy's stall-over-steer decision (and the VC

@@ -4,7 +4,7 @@
 //! *SPEC CPU2000 compiled by the Intel production compiler and sliced by
 //! PinPoints* (Sec. 5.1 of Cai et al., IPDPS 2008).
 //!
-//! Why synthetic workloads are a sound substitution (see DESIGN.md §3):
+//! Why synthetic workloads are a sound substitution:
 //! every steering mechanism in the paper — hardware, software and hybrid —
 //! reads only *structural* properties of the instruction stream: the shape
 //! of each region's data-dependence graph (how many independent chains, how

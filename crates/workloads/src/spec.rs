@@ -7,7 +7,7 @@
 //! parameter set (chosen to match the real program's published structural
 //! character), a per-point seed perturbation, and a PinPoints-style weight.
 //!
-//! Parameter rationale, per benchmark family (see DESIGN.md §3):
+//! Parameter rationale, per benchmark family:
 //! * `mcf` — pointer-chasing, memory-bound, almost serial: clustering buys
 //!   little, `one-cluster` is nearly free;
 //! * `galgel` — wide independent FP loop nests: the paper's best VC case

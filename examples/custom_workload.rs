@@ -9,7 +9,7 @@
 
 use virtclust::compiler::{SoftwarePass, VcConfig};
 use virtclust::ddg::{Criticality, Ddg};
-use virtclust::sim::{simulate, RunLimits};
+use virtclust::sim::{RunLimits, SimSession};
 use virtclust::steer::VcMapper;
 use virtclust::uarch::{ArchReg, LatencyModel, MachineConfig, Program, RegionBuilder, VecTrace};
 
@@ -75,8 +75,7 @@ fn main() {
     }
     let mut trace = VecTrace::new(uops);
     let mut policy = VcMapper::new(2);
-    let stats = simulate(
-        &MachineConfig::paper_2cluster(),
+    let stats = SimSession::new(&MachineConfig::paper_2cluster()).run(
         &mut trace,
         &mut policy,
         &RunLimits::unlimited(),

@@ -3,7 +3,7 @@
 //! every queued load re-checks the LSQ each cycle until it wins a port).
 use std::time::Instant;
 use virtclust::core::{run_point, Configuration};
-use virtclust::sim::{simulate, RunLimits};
+use virtclust::sim::{RunLimits, SimSession};
 use virtclust::steer::OccupancyAware;
 use virtclust::uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace};
 use virtclust::workloads::spec2000_points;
@@ -57,8 +57,7 @@ fn main() {
     let uops = lsq_pressure(60_000);
     let t0 = Instant::now();
     let mut trace = SliceTrace::new(&uops);
-    let stats = simulate(
-        &machine,
+    let stats = SimSession::new(&machine).run(
         &mut trace,
         &mut OccupancyAware::new(),
         &RunLimits::unlimited(),

@@ -6,7 +6,7 @@
 //! cargo run --release --example sec21_motivation
 //! ```
 
-use virtclust::sim::{Machine, RunLimits};
+use virtclust::sim::{RunLimits, SimSession};
 use virtclust::steer::OccupancyAware;
 use virtclust::uarch::{ArchReg, MachineConfig, RegionBuilder, SliceTrace};
 
@@ -34,13 +34,13 @@ fn main() {
         ),
     ] {
         let mut trace = SliceTrace::new(&uops);
-        let mut machine = Machine::new(&MachineConfig::paper_2cluster());
+        let mut session = SimSession::new(&MachineConfig::paper_2cluster());
         // Initial placements (mirrored form of the paper's): r1 lives in
         // cluster 1; r2 and r3 live in cluster 0.
-        machine.place_register(r(1), 1);
-        machine.place_register(r(2), 0);
-        machine.place_register(r(3), 0);
-        let stats = machine.run(&mut trace, &mut policy, &RunLimits::unlimited());
+        session.place_register(r(1), 1);
+        session.place_register(r(2), 0);
+        session.place_register(r(3), 0);
+        let stats = session.run(&mut trace, &mut policy, &RunLimits::unlimited());
         println!("{label}:");
         println!(
             "  copies generated = {}, cycles = {}\n",

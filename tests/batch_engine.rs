@@ -3,7 +3,7 @@
 //!
 //! 1. a [`SimSession`] reused across runs (mixed machine configurations
 //!    and real Table 3 steering schemes) produces `SimStats` bit-identical
-//!    to fresh `Machine::new` runs;
+//!    to fresh `SimSession::new` runs;
 //! 2. [`EvalDriver`] output is deterministic across 1/2/8 worker threads
 //!    for heterogeneous job queues;
 //! 3. `run_matrix` (now one `EvalDriver` call) stays bit-identical to

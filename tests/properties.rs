@@ -10,8 +10,7 @@ use virtclust::compiler::{
 use virtclust::core::{replay_trace, run_point, Configuration, EvalDriver, EvalJob};
 use virtclust::ddg::{Criticality, Ddg};
 use virtclust::sim::{
-    simulate, LoadCheck, Lsq, Machine, RunLimits, SimSession, SteerDecision, SteerView,
-    SteeringPolicy,
+    LoadCheck, Lsq, RunLimits, SimSession, SteerDecision, SteerView, SteeringPolicy,
 };
 use virtclust::trace::{Codec, TraceReader, TraceWriter};
 use virtclust::uarch::{
@@ -179,7 +178,7 @@ proptest! {
         let mut trace = VecTrace::new(uops);
         let cfg = MachineConfig::default().with_clusters(clusters);
         let mut policy = HashSteer { clusters: clusters as u8 };
-        let stats = simulate(&cfg, &mut trace, &mut policy, &RunLimits::unlimited());
+        let stats = SimSession::new(&cfg).run(&mut trace, &mut policy, &RunLimits::unlimited());
         prop_assert_eq!(stats.committed_uops, total, "lost micro-ops");
         prop_assert_eq!(stats.copies_generated, stats.copies_delivered);
         prop_assert!(stats.cycles > 0 || total == 0);
@@ -196,7 +195,7 @@ proptest! {
         // One SimSession serves a random sequence of runs with mixed
         // cluster counts (2-/4-/3-cluster machines interleaved) and a
         // rewound trace; every run must be bit-identical to a fresh
-        // `Machine::new` run of the same cell. This is the session-reuse
+        // `SimSession::new` run of the same cell. This is the session-reuse
         // contract the batch engine is built on.
         let uops = expand(&region, iters);
         let mut session = SimSession::new(&MachineConfig::default());
@@ -206,7 +205,7 @@ proptest! {
             let fresh = {
                 let mut trace = SliceTrace::new(&uops);
                 let mut policy = HashSteer { clusters: clusters as u8 };
-                simulate(&cfg, &mut trace, &mut policy, &RunLimits::unlimited())
+                SimSession::new(&cfg).run(&mut trace, &mut policy, &RunLimits::unlimited())
             };
             let reused = {
                 reused_trace.rewind().expect("slice traces rewind");
@@ -224,7 +223,7 @@ proptest! {
             let mut trace = VecTrace::new(uops.clone());
             let cfg = MachineConfig::default().with_clusters(clusters);
             let mut policy = HashSteer { clusters: clusters as u8 };
-            simulate(&cfg, &mut trace, &mut policy, &RunLimits::unlimited())
+            SimSession::new(&cfg).run(&mut trace, &mut policy, &RunLimits::unlimited())
         };
         prop_assert_eq!(run(), run());
     }
@@ -424,7 +423,7 @@ proptest! {
                 let fresh = {
                     let mut trace = SliceTrace::new(&uops);
                     let mut policy = config.make_policy();
-                    simulate(&machine, &mut trace, policy.as_mut(), &RunLimits::unlimited())
+                    SimSession::new(&machine).run(&mut trace, policy.as_mut(), &RunLimits::unlimited())
                 };
                 let reused = {
                     let mut trace = SliceTrace::new(&uops);
@@ -530,7 +529,7 @@ proptest! {
                 let fresh = {
                     let mut trace = SliceTrace::new(&uops);
                     let mut policy = config.make_policy();
-                    simulate(&machine, &mut trace, policy.as_mut(), &RunLimits::unlimited())
+                    SimSession::new(&machine).run(&mut trace, policy.as_mut(), &RunLimits::unlimited())
                 };
                 let reused = {
                     let mut trace = SliceTrace::new(&uops);
@@ -621,11 +620,11 @@ proptest! {
                     config.name(clusters as u32), clusters
                 );
                 let fresh_strict = {
-                    let mut m = Machine::new(&machine);
-                    m.set_cycle_skipping(false);
+                    let mut session = SimSession::new(&machine);
+                    session.set_cycle_skipping(false);
                     let mut trace = SliceTrace::new(&uops);
                     let mut policy = config.make_policy();
-                    m.run(&mut trace, policy.as_mut(), &RunLimits::unlimited())
+                    session.run(&mut trace, policy.as_mut(), &RunLimits::unlimited())
                 };
                 prop_assert_eq!(
                     &strict, &fresh_strict,
@@ -775,7 +774,7 @@ fn hand_annotated_kernel_run(
         .apply(&mut annotated, &machine.latencies);
     let mut trace = TraceExpander::new(&annotated, &KernelParams::base_int(), seed);
     let mut policy = config.make_policy();
-    simulate(machine, &mut trace, policy.as_mut(), &RunLimits::uops(uops))
+    SimSession::new(machine).run(&mut trace, policy.as_mut(), &RunLimits::uops(uops))
 }
 
 proptest! {
