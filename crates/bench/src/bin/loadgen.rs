@@ -3,7 +3,7 @@
 //! replays) against a running `serve` daemon, measures sustained uops/s
 //! and ok-vs-failed job-latency percentiles, and optionally verifies
 //! every successful cell bit-identical against a direct
-//! [`EvalDriver::run_resilient`] of the same jobs.
+//! [`EvalDriver::run_resilient`] that runs each distinct job once.
 //!
 //! ```sh
 //! cargo run --release -p virtclust-bench --bin serve -- --unix /tmp/vc.sock &
@@ -89,34 +89,34 @@ fn schedule(jobs: u64, uops: u64, traces: &str, priority_mix: bool) -> Vec<Submi
         .collect()
 }
 
-/// Run the same specs directly through the batch engine and return each
-/// job's stats digest (None for jobs that fail locally too).
+/// Run each distinct spec once directly through the batch engine and
+/// return every job's stats digest (None for jobs that fail locally too).
+/// Once per spec, so that no direct job answers from the drain's result
+/// table: the check stays independent of the cache the daemon uses.
 fn direct_digests(submits: &[Submit]) -> HashMap<u64, Option<u64>> {
     let machine = MachineConfig::paper_2cluster();
-    let resolved: Vec<(u64, Result<EvalJob, String>)> = submits
+    let mut slot: HashMap<String, Option<usize>> = HashMap::new();
+    let mut jobs: Vec<EvalJob> = Vec::new();
+    let index: Vec<(u64, Option<usize>)> = submits
         .iter()
-        .map(|s| (s.ticket, resolve_spec(&s.spec)))
-        .collect();
-    let jobs: Vec<EvalJob> = resolved
-        .iter()
-        .filter_map(|(_, r)| r.as_ref().ok().cloned())
+        .map(|s| {
+            let i = *slot.entry(format!("{:?}", s.spec)).or_insert_with(|| {
+                let job = resolve_spec(&s.spec).ok()?;
+                jobs.push(job);
+                Some(jobs.len() - 1)
+            });
+            (s.ticket, i)
+        })
         .collect();
     let (outcomes, _) =
         EvalDriver::new(&machine).run_resilient(&jobs, &ResilientOptions::new(), |_, _| {});
-    let mut digests = HashMap::new();
-    let mut oi = 0;
-    for (ticket, r) in &resolved {
-        match r {
-            Err(_) => {
-                digests.insert(*ticket, None);
-            }
-            Ok(_) => {
-                digests.insert(*ticket, outcomes[oi].stats.as_ref().ok().map(stats_digest));
-                oi += 1;
-            }
-        }
-    }
-    digests
+    index
+        .into_iter()
+        .map(|(ticket, i)| {
+            let digest = i.and_then(|i| outcomes[i].stats.as_ref().ok().map(stats_digest));
+            (ticket, digest)
+        })
+        .collect()
 }
 
 fn main() {

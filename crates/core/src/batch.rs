@@ -14,7 +14,8 @@
 //! * each drain shares one compile cache across its workers, so a suite
 //!   point's program is built once and a configuration's compiler pass
 //!   runs once per (program, configuration) key: later jobs reuse the
-//!   pass's steering hints (bounded, cleared when full; see
+//!   pass's steering hints, and a repeated suite-point job reuses the
+//!   finished stats of its first run (bounded, cleared when full; see
 //!   [`drain_source`](EvalDriver::drain_source));
 //! * each worker caches up to 32 open [`TraceReader`]s, so a `.vct`/`.vctb`
 //!   file is parsed once and then [`rewound`](TraceReader::rewind) per
@@ -100,7 +101,7 @@ use virtclust_trace::{TraceError, TraceReader};
 use virtclust_uarch::{MachineConfig, Program};
 use virtclust_workloads::{KernelParams, TraceExpander, TracePoint};
 
-use crate::compile::{CompileCache, PointKey, Source};
+use crate::compile::{CompileCache, RunKey, Source};
 use crate::experiment::Configuration;
 use crate::fault;
 
@@ -770,10 +771,17 @@ impl EvalDriver {
     /// each suite point's program is built once, and each configuration's
     /// compiler pass runs once per (point or program content,
     /// configuration) key, after which jobs run the hint-free program with
-    /// the cached steering hints. Outcomes are bit-identical to the
-    /// uncached [`crate::run_point`] and [`crate::replay_trace`]. A
-    /// service drains once for its whole life, so there the pass becomes
-    /// a once-per-key cost.
+    /// the cached steering hints. The cache also keeps the stats of every
+    /// point job that finished with no error and no stop cause (about
+    /// 0.5 KiB each, 256 at most, cleared when full), so a repeat of the
+    /// same point, `trace_seed`, configuration and budget is answered
+    /// without simulating. Kernel and trace jobs always simulate: their
+    /// key would be client content (a program to hash per job and keep in
+    /// memory, trace bytes the drain never reads twice). Outcomes are
+    /// bit-identical to the uncached [`crate::run_point`] and
+    /// [`crate::replay_trace`]. A service drains once for its whole life,
+    /// so there both the pass and a point's simulation become once-per-key
+    /// costs.
     ///
     /// Per-job interrupt overrides on the [`SourcedJob`] compose with
     /// `opts`: a job token replaces the batch token for the run (batch
@@ -1121,7 +1129,9 @@ impl<'m> Worker<'m> {
 
     /// Run one job: its hint-free program with the configuration's cached
     /// hints, exactly what `run_point`, `replay_trace` or a hand-annotated
-    /// expander run would simulate.
+    /// expander run would simulate. A point job whose key already finished
+    /// in this drain returns the kept stats without simulating; `run_job`
+    /// has fired `job.run` and armed the interrupts by then.
     fn dispatch(&mut self, job: &EvalJob) -> Result<SimStats, TraceError> {
         let (machine, compiled) = (self.machine, self.compiled);
         match job {
@@ -1130,17 +1140,25 @@ impl<'m> Worker<'m> {
                 config,
                 uops,
             } => {
-                let key = PointKey::of(point);
-                let base = compiled.point_program(&key, point);
-                let program = compiled.annotate(|| Source::Point(key), &base, config, machine);
+                let run = RunKey::of(point, config, *uops);
+                if let Some(stats) = compiled.result(&run) {
+                    return Ok(stats);
+                }
+                let base = compiled.point_program(&run.point, point);
+                let program =
+                    compiled.annotate(|| Source::Point(run.point.clone()), &base, config, machine);
                 let mut trace = point.expander(&program);
                 let mut policy = config.make_policy();
-                Ok(self.session.simulate(
+                let stats = self.session.simulate(
                     machine,
                     &mut trace,
                     policy.as_mut(),
                     &RunLimits::uops(*uops),
-                ))
+                );
+                if self.session.stop_cause().is_none() {
+                    compiled.keep_result(run, &stats);
+                }
+                Ok(stats)
             }
             EvalJob::Kernel {
                 program,
@@ -1255,46 +1273,126 @@ mod tests {
     fn point_jobs_match_run_point_bit_for_bit() {
         let machine = MachineConfig::paper_2cluster();
         let p = point("gzip-1");
-        // Two more points under the same name: the compile cache must
-        // tell them apart by seed and by every parameter, not the name.
+        // More runs under the same name: the compile cache must tell the
+        // programs apart by seed and by every parameter, not the name, and
+        // the result table the runs by their trace seed and budget too.
         let reseeded = TracePoint {
             program_seed: p.program_seed + 1,
             ..p.clone()
         };
+        let retraced = TracePoint {
+            trace_seed: p.trace_seed + 1,
+            ..p.clone()
+        };
         let mut reparam = p.clone();
         reparam.params.cross_links += 0.125;
-        let points = [p.clone(), reseeded, reparam];
-        let jobs: Vec<EvalJob> = points
+        let runs = [
+            (p.clone(), 1_500),
+            (reseeded, 1_500),
+            (reparam, 1_500),
+            (retraced, 1_500),
+            (p, 1_200),
+        ];
+        let mut jobs: Vec<EvalJob> = runs
             .iter()
-            .flat_map(|p| {
+            .flat_map(|(p, uops)| {
                 Configuration::table3().map(|config| EvalJob::Point {
                     point: p.clone(),
                     config,
-                    uops: 1_500,
+                    uops: *uops,
                 })
             })
             .collect();
+        let live: Vec<SimStats> = jobs
+            .iter()
+            .map(|job| {
+                let EvalJob::Point {
+                    point,
+                    config,
+                    uops,
+                } = job
+                else {
+                    unreachable!()
+                };
+                run_point(point, config, &machine, *uops)
+            })
+            .collect();
+        // Every job twice: on one worker the second pass is all hits.
+        jobs.extend_from_within(..);
         let outcomes = EvalDriver::new(&machine).threads(1).run(&jobs);
-        let mut live = Vec::new();
-        for (job, outcome) in jobs.iter().zip(&outcomes) {
-            let EvalJob::Point { point, config, .. } = job else {
+        for (i, (job, outcome)) in jobs.iter().zip(&outcomes).enumerate() {
+            let EvalJob::Point { point, uops, .. } = job else {
                 unreachable!()
             };
-            live.push(run_point(point, config, &machine, 1_500));
             assert_eq!(
-                live.last().unwrap(),
+                &live[i % live.len()],
                 outcome.stats.as_ref().unwrap(),
-                "{} (seed {}, cross_links {})",
+                "{} (seeds {}/{}, cross_links {}, {uops} uops)",
                 job.label(2),
                 point.program_seed,
+                point.trace_seed,
                 point.params.cross_links
             );
         }
-        // The three points really are different programs: a cache keyed
-        // on the name alone would fail the loop above.
-        let per_point: Vec<&[SimStats]> = live.chunks(5).collect();
-        assert_ne!(per_point[0], per_point[1], "program_seed changes the run");
-        assert_ne!(per_point[0], per_point[2], "params change the run");
+        // The runs really differ: a key that left any of these out would
+        // fail the loop above.
+        let per_run: Vec<&[SimStats]> = live.chunks(5).collect();
+        assert_ne!(per_run[0], per_run[1], "program_seed changes the run");
+        assert_ne!(per_run[0], per_run[2], "params change the run");
+        assert_ne!(per_run[0], per_run[3], "trace_seed changes the run");
+        assert_ne!(per_run[0], per_run[4], "the budget changes the run");
+    }
+
+    #[test]
+    fn a_stopped_point_run_is_not_kept() {
+        // Long enough to reach the first interrupt check (cycle 1 024).
+        let machine = MachineConfig::paper_2cluster();
+        let config = Configuration::Vc { num_vcs: 2 };
+        let job = EvalJob::Point {
+            point: point("gzip-1"),
+            config,
+            uops: 6_000,
+        };
+        let clean = run_point(&point("gzip-1"), &config, &machine, 6_000);
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for (token, deadline) in [(None, Some(Instant::now())), (Some(&cancelled), None)] {
+            let compiled = CompileCache::default();
+            let mut worker = Worker::new(&machine, &compiled);
+            let stopped = worker.run_job(&job, token, deadline, Instant::now());
+            assert!(
+                matches!(
+                    stopped,
+                    Err(JobError::DeadlineExceeded { .. } | JobError::Cancelled)
+                ),
+                "{stopped:?}"
+            );
+            // The cut-short stats were not kept: the same key runs again.
+            let next = worker.run_job(&job, None, None, Instant::now()).unwrap();
+            assert_eq!(next, clean);
+        }
+    }
+
+    #[test]
+    fn job_run_fires_before_a_hit() {
+        let machine = MachineConfig::paper_2cluster();
+        let job = EvalJob::Point {
+            point: point("gzip-1"),
+            config: Configuration::Op,
+            uops: 400,
+        };
+        let clean = run_point(&point("gzip-1"), &Configuration::Op, &machine, 400);
+        let _faults = ScopedFaults::arm(&sched(fault::JOB_RUN, FaultKind::Io, Trigger::Nth(2)));
+        let outcomes = EvalDriver::new(&machine)
+            .threads(1)
+            .run(&[job.clone(), job]);
+        assert_eq!(outcomes[0].stats.as_ref().unwrap(), &clean, "the miss");
+        // The second job's key is in the table, but the fault schedule
+        // sees its start exactly as it would without the table.
+        match &outcomes[1].stats {
+            Err(JobError::Trace(e)) => assert!(e.is_transient(), "{e}"),
+            other => panic!("job.run must fire on the hit, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Compile once per key: the drain-wide cache of compiler-pass hints.
+//! Compile once per key, simulate once per point key: the drain-wide
+//! cache of compiler-pass hints and finished suite-point results.
 //!
 //! In the paper the software half of every steering scheme is a
 //! compile-time pass that runs once per program (Fig. 2: critical paths,
@@ -25,6 +26,24 @@
 //! [`Configuration`]. Configurations without a pass store no hints. The
 //! lock is never held while compiling: two workers that miss the same key
 //! may both compile it, and the first insert wins.
+//!
+//! # Finished point results
+//!
+//! A suite-point job is deterministic too, so the cache also keeps the
+//! [`SimStats`] of every point run that finished with no error and no
+//! stop cause, keyed by [`RunKey`]: the point key above, the expander's
+//! `trace_seed`, the configuration and the micro-op budget. A later job
+//! of the same key skips program build, pass, expansion, session reset
+//! and simulation. The worker looks the key up only after the `job.run`
+//! failpoint fired and the job's interrupts were armed, so cancellation
+//! before start, chaos schedules and retries see the same sequence on a
+//! hit as on a miss. The table has its own cap ([`MAX_RESULTS`]) and
+//! clears when full, like the hint tables.
+//!
+//! Kernel and trace jobs are never stored: their key would be client
+//! content (a content hash per job, a client program kept in memory, and
+//! trace bytes the drain never hashes), while the traffic that repeats is
+//! the suite matrix.
 
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
@@ -33,6 +52,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use virtclust_compiler::SoftwarePass;
+use virtclust_sim::SimStats;
 use virtclust_uarch::{MachineConfig, Program, SteerHint};
 use virtclust_workloads::{KernelParams, TracePoint};
 
@@ -48,6 +68,16 @@ use crate::experiment::Configuration;
 /// bound: there the worst case is 256 times the largest program a client
 /// named.
 const MAX_ENTRIES: usize = 256;
+
+/// Most finished point results one drain's cache holds before that table
+/// clears. The suite × Table 3 at one budget is 200 keys, and 256 leaves
+/// room for a second VC width or budget on a few points. An entry is a
+/// 176-byte key (the point's name, two seeds and parameters, the
+/// configuration and the budget) and a 176-byte [`SimStats`], plus the
+/// name and the per-cluster counters on the heap: about 0.5 KiB on a
+/// 2-cluster machine with the map's spare buckets, so a full table stays
+/// under 0.25 MiB.
+const MAX_RESULTS: usize = 256;
 
 /// Apply `config`'s compiler pass to `program` for `machine`: clear every
 /// steering hint, then annotate. The one compile step that
@@ -71,7 +101,7 @@ pub(crate) struct PointKey {
 }
 
 impl PointKey {
-    pub(crate) fn of(point: &TracePoint) -> Self {
+    fn of(point: &TracePoint) -> Self {
         PointKey {
             name: point.name.clone(),
             program_seed: point.program_seed,
@@ -86,6 +116,28 @@ impl Hash for PointKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.name.hash(state);
         self.program_seed.hash(state);
+    }
+}
+
+/// Everything that fixes a point job's stats within one drain: the
+/// program ([`PointKey`]), the expander's other input (`trace_seed`; its
+/// parameters are in the point key), the configuration and the budget.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct RunKey {
+    pub(crate) point: PointKey,
+    trace_seed: u64,
+    config: Configuration,
+    uops: u64,
+}
+
+impl RunKey {
+    pub(crate) fn of(point: &TracePoint, config: &Configuration, uops: u64) -> Self {
+        RunKey {
+            point: PointKey::of(point),
+            trace_seed: point.trace_seed,
+            config: *config,
+            uops,
+        }
     }
 }
 
@@ -125,6 +177,7 @@ impl Hash for ContentKey {
 struct Tables {
     programs: HashMap<PointKey, Arc<Program>>,
     hints: HashMap<(Source, Configuration), Arc<[SteerHint]>>,
+    results: HashMap<RunKey, SimStats>,
 }
 
 impl Tables {
@@ -159,6 +212,23 @@ impl CompileCache {
     /// per job.
     pub(crate) fn content_hash(&self, program: &Program) -> u64 {
         self.content.hash_one(program)
+    }
+
+    /// The stats of an earlier finished run of `key` in this drain.
+    pub(crate) fn result(&self, key: &RunKey) -> Option<SimStats> {
+        self.tables().results.get(key).cloned()
+    }
+
+    /// Keep `stats` for `key`. The caller passes only runs that ended with
+    /// no error and no stop cause: a cut-short run must not answer later
+    /// jobs.
+    pub(crate) fn keep_result(&self, key: RunKey, stats: &SimStats) {
+        let stats = stats.clone();
+        let mut tables = self.tables();
+        if tables.results.len() >= MAX_RESULTS {
+            tables.results.clear();
+        }
+        tables.results.entry(key).or_insert(stats);
     }
 
     /// `point`'s hint-free program, built once per drain.
@@ -216,5 +286,27 @@ impl CompileCache {
             inst.hint = hint;
         }
         Cow::Owned(program)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use virtclust_workloads::spec2000_points;
+
+    #[test]
+    fn result_table_never_exceeds_its_cap() {
+        let cache = CompileCache::default();
+        let point = &spec2000_points()[0];
+        for uops in 0..3 * MAX_RESULTS as u64 {
+            let key = RunKey::of(point, &Configuration::Op, uops);
+            let stats = SimStats {
+                committed_uops: uops,
+                ..SimStats::default()
+            };
+            cache.keep_result(key.clone(), &stats);
+            assert!(cache.tables().results.len() <= MAX_RESULTS, "{uops}");
+            assert_eq!(cache.result(&key), Some(stats), "the newest key is kept");
+        }
     }
 }

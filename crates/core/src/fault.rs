@@ -569,9 +569,13 @@ mod tests {
     #[test]
     fn env_style_global_arming_reaches_every_thread() {
         // The empty scoped guard only serializes against other fault tests.
+        // The armed site is one no production path fires: global arming
+        // reaches every thread of the test process, and arming a real site
+        // such as `job.run` would fail any job a concurrent test runs.
+        const TEST_ONLY: &str = "test.global";
         let _guard = ScopedFaults::arm(&FaultSchedule::new());
-        arm_global(&FaultSchedule::new().with(JOB_RUN, spec(FaultKind::Io, Trigger::Every(1))));
-        let outsider = std::thread::spawn(|| fire(JOB_RUN).is_err())
+        arm_global(&FaultSchedule::new().with(TEST_ONLY, spec(FaultKind::Io, Trigger::Every(1))));
+        let outsider = std::thread::spawn(|| fire(TEST_ONLY).is_err())
             .join()
             .unwrap();
         assert!(

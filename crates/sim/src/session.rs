@@ -1942,7 +1942,7 @@ impl SimSession {
     /// * dispatch provably stops *before* consulting the steering policy:
     ///   the front-end has nothing ready (starved) or the front micro-op
     ///   hits a ROB/LSQ structural stall — the checks that precede
-    ///   `SteeringPolicy::steer`, which may be stateful and therefore
+    ///   `SteeringPolicy::steer`, which may be impure and therefore
     ///   must observe exactly the per-uop call sequence of stepping;
     /// * fetch is provably inert: trace drained, halted for a mispredict
     ///   (the resolving completion is a calendar event), buffer full, or
@@ -2035,7 +2035,7 @@ impl SimSession {
                         }
                     }
                 } else {
-                    // A stateful policy must observe the per-cycle call
+                    // An impure policy must observe the per-cycle call
                     // sequence stepping would make: not skippable.
                     return None; // dispatch would reach the policy
                 }
@@ -2303,7 +2303,7 @@ impl SimSession {
     /// Debug-build idle skip: compute the arithmetic replication on copies
     /// of the affected state, single-step the same span through the real
     /// stage bodies (safe — the predicate guarantees no skipped cycle
-    /// reaches `SteeringPolicy::steer`, so even a stateful policy cannot
+    /// reaches `SteeringPolicy::steer`, so even an impure policy cannot
     /// be perturbed), and assert the replicated state equals the stepped
     /// state exactly. The same mirror discipline as the ready-ring
     /// scan-vs-index and steering view-vs-rebuild checks.

@@ -267,14 +267,17 @@ pub trait SteeringPolicy {
     /// Reset internal state (mapping tables, counters) before a new run.
     fn reset(&mut self) {}
 
-    /// Whether [`SteeringPolicy::steer`] behaves as a *pure view function*:
+    /// Whether repeat and extra calls to [`SteeringPolicy::steer`] are
+    /// unobservable, which is what the session relies on:
     ///
-    /// * the **decision** is a deterministic function of `(uop, view)`
-    ///   alone — no internal state may influence it; and
-    /// * any internal state update is **idempotent per micro-op**: calling
-    ///   `steer` once or many times for the same micro-op (in any mix of
-    ///   real-dispatch and probe contexts) leaves the policy in the same
-    ///   state and returns the same decision.
+    /// * a repeat call for the same micro-op with an unchanged view changes
+    ///   nothing: it returns the same decision and leaves the policy's
+    ///   state as the first call left it;
+    /// * a policy whose decisions read its own state must not read
+    ///   [`SteerView::location_stale`], because the idle-span probe steers
+    ///   once per stale epoch, ahead of stepping, and the state those
+    ///   calls leave would feed the decisions of epochs stepping had not
+    ///   reached yet.
     ///
     /// Under this contract the simulator may elide repeat calls for a
     /// stalled front micro-op *and* make extra probe calls, with no
@@ -284,12 +287,13 @@ pub trait SteeringPolicy {
     /// and to the epoch-batched dispatch plan: while a stalled micro-op
     /// waits on a frozen pipeline, the per-cycle re-steer calls stepping
     /// would make are provably identical, so the simulator replays the
-    /// memoized outcome instead. A purely statistical cursor (e.g. "count
-    /// each hint-less micro-op once", keyed by `uop.seq`) is compatible; a
-    /// policy whose *decisions* depend on call history — round-robin
-    /// counters, adaptive mapping tables — must keep the default `false`.
-    /// Declaring purity falsely breaks the bit-identity contract between
-    /// skipping and stepping.
+    /// memoized outcome instead. A function of `(uop, view)` qualifies, so
+    /// does a statistical cursor (e.g. "count each hint-less micro-op
+    /// once", keyed by `uop.seq`), and so does a mapping table that a
+    /// repeat call rewrites with the value it already holds (the VC
+    /// mapper). A policy that moves on every call — a round-robin counter
+    /// — must keep the default `false`. Declaring purity falsely breaks the
+    /// bit-identity contract between skipping and stepping.
     fn steer_is_pure(&self) -> bool {
         false
     }

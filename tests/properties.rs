@@ -783,24 +783,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // The batch engine compiles once per (source, configuration) key in a
-    // drain and reuses the pass's hints. Differential oracle: every job
-    // of a random list, drained by 1, 2 and 8 workers, must equal its
-    // uncached reference — `run_point`, `replay_trace`, or a
+    // drain and reuses the pass's hints, and keeps each finished point
+    // job's stats for later jobs of the same key. Differential oracle:
+    // every job of a random list, drained by 1, 2 and 8 workers, must equal
+    // its uncached reference — `run_point`, `replay_trace`, or a
     // hand-annotated expander run. Each list runs twice over, so keys
-    // repeat. The pool holds two suite points under one name (they
-    // differ in `program_seed`), two kernels with the same instructions
-    // under different stale hints (one key: hints are cleared first), a
-    // second kernel program, and a text and a binary stored trace.
+    // repeat and the second run of every point key is a hit. The pool
+    // holds four suite points under one name (they differ only in
+    // `program_seed`, `trace_seed` or `params`), run at two budgets; the
+    // list opens with each of them at both budgets under one scheme, so a
+    // result key that left out any of these fails the one-worker drain of
+    // every case. It also
+    // holds two kernels with the same instructions under different stale
+    // hints (one key: hints are cleared first), a second kernel program,
+    // and a text and a binary stored trace.
     #[test]
     fn compile_cache_is_bit_identical_to_uncached_runs(
         region in region_strategy(24),
         stale in prop::collection::vec(hint_strategy(), 24..25),
         other in region_strategy(12),
-        picks in prop::collection::vec((0usize..7, 0usize..5, 150u64..450), 3..9),
+        opening_scheme in 0usize..5,
+        picks in prop::collection::vec((0usize..9, 0usize..5, 150u64..450), 3..9),
     ) {
         let machine = MachineConfig::paper_2cluster();
         let gzip = spec2000_points().into_iter().find(|p| p.name == "gzip-1").expect("suite point");
         let reseeded = TracePoint { program_seed: gzip.program_seed + 1, ..gzip.clone() };
+        let retraced = TracePoint { trace_seed: gzip.trace_seed + 1, ..gzip.clone() };
+        let mut reparam = gzip.clone();
+        reparam.params.cross_links += 0.125;
+        let points = [gzip, reseeded, retraced, reparam];
         let kernel = |region: &Region, hints: &[SteerHint]| {
             let mut program = Program::new("prop-kernel");
             program.add_region(region.clone());
@@ -817,24 +828,27 @@ proptest! {
         let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/results/traces/");
         let traces = [format!("{corpus}gzip-1.vct"), format!("{corpus}galgel.vctb")];
 
+        let opening = (0..points.len())
+            .flat_map(|p| [(p, opening_scheme, 150), (p, opening_scheme, 151)]);
         let mut jobs = Vec::new();
         let mut reference = Vec::new();
-        for &(source, scheme, uops) in &picks {
+        for (source, scheme, uops) in opening.chain(picks.iter().copied()) {
             let config = Configuration::table3()[scheme];
             let (job, direct) = match source {
-                0 | 1 => {
-                    let point = if source == 0 { &gzip } else { &reseeded };
+                0..=3 => {
+                    let point = &points[source];
+                    let uops = 200 + 100 * (uops % 2);
                     let job = EvalJob::Point { point: point.clone(), config, uops };
                     (job, run_point(point, &config, &machine, uops))
                 }
-                2..=4 => {
-                    let program = kernels[source - 2].clone();
+                4..=6 => {
+                    let program = kernels[source - 4].clone();
                     let direct = hand_annotated_kernel_run(&program, uops, &config, &machine, uops);
                     let params = KernelParams::base_int();
                     (EvalJob::Kernel { program, params, seed: uops, config, uops }, direct)
                 }
                 _ => {
-                    let path = &traces[source - 5];
+                    let path = &traces[source - 7];
                     let limits = RunLimits::uops(uops);
                     let direct = replay_trace(path, &config, &machine, &limits).expect("corpus");
                     (EvalJob::Trace { path: path.into(), config, limits }, direct)
