@@ -29,8 +29,8 @@
 //! the first faulted cell.
 //!
 //! `--stages` instead reports the per-stage wall-time share of a cycle
-//! (events+wakeup / commit / store-drain / memory / issue / dispatch /
-//! fetch / skip) via [`SimSession::step_timed`] — the instrumented step
+//! (events+wakeup / commit / store-drain / memory / issue / stale-view /
+//! dispatch / fetch / skip) via [`SimSession::step_timed`] — the instrumented step
 //! loop the plain run never pays for — so perf PRs can point at the next
 //! bottleneck. The `skip` bucket is the idle-span probe plus span
 //! application, so shares sum to 100 % of wall time even on idle-heavy

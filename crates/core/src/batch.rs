@@ -49,7 +49,7 @@
 //!   is bit-identical to a fault-free run (the session bit-identity
 //!   contract: a rebuilt worker *is* a fresh machine).
 //! * **Deadlines and cancellation** — per-job wall-clock deadlines and a
-//!   batch-level [`BatchHandle`] ride the cooperative interrupt checks
+//!   batch-level [`CancelToken`] ride the cooperative interrupt checks
 //!   inside [`SimSession`]'s run loop (one relaxed load per
 //!   `CHECK_INTERVAL_CYCLES`, composing with cycle skipping): running
 //!   jobs stop at the next check, queued jobs resolve to
@@ -95,7 +95,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use virtclust_obs::{ChromeTrace, Counter, Log2Hist};
+use virtclust_obs::{Counter, Log2Hist};
 use virtclust_sim::{CancelToken, RunLimits, SimSession, SimStats, StopCause};
 use virtclust_trace::{TraceError, TraceReader};
 use virtclust_uarch::{MachineConfig, Program};
@@ -347,19 +347,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries: the first failure is the job's outcome.
-    pub fn none() -> Self {
-        RetryPolicy::default()
-    }
-
-    /// Retry transient errors up to `max_retries` times.
-    pub fn transient(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            retry_panics: false,
-        }
-    }
-
     /// Whether to retry after `err`, given `attempts` attempts already
     /// made.
     pub fn should_retry(&self, err: &JobError, attempts: u32) -> bool {
@@ -374,39 +361,6 @@ impl RetryPolicy {
     }
 }
 
-/// A batch-level cancellation handle: clone-free to create, cheap to
-/// share, and usable from any thread (including an `on_cell` callback).
-/// Pass it to [`ResilientOptions::cancelled_by`]; calling
-/// [`cancel`](BatchHandle::cancel) resolves queued jobs to
-/// [`JobError::Cancelled`] without running them and stops running jobs at
-/// their next cooperative check.
-#[derive(Debug, Clone, Default)]
-pub struct BatchHandle {
-    token: CancelToken,
-}
-
-impl BatchHandle {
-    /// A fresh, un-cancelled handle.
-    pub fn new() -> Self {
-        BatchHandle::default()
-    }
-
-    /// Request cancellation of every batch using this handle.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.token.is_cancelled()
-    }
-
-    /// The underlying [`CancelToken`] (shares this handle's flag).
-    pub fn token(&self) -> CancelToken {
-        self.token.clone()
-    }
-}
-
 /// Options for [`EvalDriver::run_resilient`]: retry budget, per-job
 /// wall-clock deadline, and an optional cancellation source.
 #[derive(Debug, Clone, Default)]
@@ -416,8 +370,11 @@ pub struct ResilientOptions {
     /// Per-job wall-clock budget, covering all of the job's attempts.
     /// `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Cancellation source shared with a [`BatchHandle`] (or any
-    /// [`CancelToken`] clone). `None` = not cancellable.
+    /// Cancellation source: cancelling any clone of this
+    /// [`CancelToken`] (from any thread, an `on_cell` callback included)
+    /// resolves queued jobs to [`JobError::Cancelled`] without running
+    /// them and stops running jobs at their next cooperative check.
+    /// `None` = not cancellable.
     pub token: Option<CancelToken>,
 }
 
@@ -445,13 +402,6 @@ impl ResilientOptions {
     #[must_use]
     pub fn deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
-        self
-    }
-
-    /// Make the batch cancellable through `handle`.
-    #[must_use]
-    pub fn cancelled_by(mut self, handle: &BatchHandle) -> Self {
-        self.token = Some(handle.token());
         self
     }
 }
@@ -527,15 +477,6 @@ pub struct BatchMetrics {
 }
 
 impl BatchMetrics {
-    /// Busy time per worker (sum of run spans scheduled onto it).
-    pub fn worker_busy(&self) -> Vec<Duration> {
-        let mut busy = vec![Duration::ZERO; self.workers];
-        for m in &self.jobs {
-            busy[m.worker] += m.run;
-        }
-        busy
-    }
-
     /// Fraction of the batch's `workers × wall` budget spent running jobs,
     /// in [0, 1]. Low utilization with a deep queue means stragglers or
     /// load imbalance.
@@ -552,39 +493,6 @@ impl BatchMetrics {
     /// log2-bucket resolution). Unaffected by failed or cancelled cells.
     pub fn latency_percentile(&self, q: f64) -> u64 {
         self.latency_hist.percentile(q)
-    }
-
-    /// Render the batch as a Chrome trace: one thread track per worker,
-    /// one complete slice per job (`labels[i]` names job `i`; shorter
-    /// label vectors fall back to the job index). Timestamps are real
-    /// microseconds from batch start.
-    pub fn chrome_trace(&self, labels: &[String]) -> ChromeTrace {
-        let pid = 1;
-        let mut trace = ChromeTrace::new();
-        trace.process_name(pid, "EvalDriver");
-        for w in 0..self.workers {
-            trace.thread_name(pid, w as u64, &format!("worker {w}"));
-            trace.thread_sort_index(pid, w as u64, w as u64);
-        }
-        for (i, m) in self.jobs.iter().enumerate() {
-            let fallback;
-            let name = match labels.get(i) {
-                Some(l) => l.as_str(),
-                None => {
-                    fallback = format!("job {i}");
-                    &fallback
-                }
-            };
-            trace.complete(
-                name,
-                pid,
-                m.worker as u64,
-                m.queued.as_micros() as u64,
-                m.run.as_micros() as u64,
-                &[("queue_wait_us", m.queued.as_micros() as u64)],
-            );
-        }
-        trace
     }
 }
 
@@ -1595,36 +1503,9 @@ mod tests {
             assert!(m.done_at >= m.queued, "finish after pickup");
             assert!(m.done_at <= metrics.wall + Duration::from_millis(1));
         }
-        let busy = metrics.worker_busy();
-        assert_eq!(busy.len(), 2);
-        let total_run: Duration = metrics.jobs.iter().map(|m| m.run).sum();
-        assert_eq!(busy.iter().sum::<Duration>(), total_run);
         let u = metrics.utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
         assert!(metrics.latency_percentile(0.99) >= metrics.latency_percentile(0.5));
-    }
-
-    #[test]
-    fn batch_chrome_trace_has_a_slice_per_job() {
-        let machine = MachineConfig::paper_2cluster();
-        let jobs: Vec<EvalJob> = Configuration::table3()
-            .into_iter()
-            .map(|config| EvalJob::Point {
-                point: point("gzip-1"),
-                config,
-                uops: 300,
-            })
-            .collect();
-        let (_, metrics) = EvalDriver::new(&machine)
-            .threads(2)
-            .run_with_metrics(&jobs, |_, _| {});
-        let labels: Vec<String> = jobs.iter().map(|j| j.label(2)).collect();
-        let trace = metrics.chrome_trace(&labels);
-        // One process_name + per-worker (name + sort) + one slice per job.
-        assert_eq!(trace.len(), 1 + 2 * metrics.workers + jobs.len());
-        let json = trace.to_json();
-        assert!(json.contains("EvalDriver"));
-        assert!(json.contains(&labels[0]));
     }
 
     #[test]
@@ -2065,12 +1946,15 @@ mod tests {
                 uops: 400,
             })
             .collect();
-        let handle = BatchHandle::new();
-        let opts = ResilientOptions::new().cancelled_by(&handle);
+        let token = CancelToken::new();
+        let opts = ResilientOptions {
+            token: Some(token.clone()),
+            ..ResilientOptions::new()
+        };
         let (outcomes, report) =
             EvalDriver::new(&machine)
                 .threads(1)
-                .run_resilient(&jobs, &opts, |_, _| handle.cancel());
+                .run_resilient(&jobs, &opts, |_, _| token.cancel());
         assert!(outcomes[0].stats.is_ok(), "the first job had already run");
         for (i, o) in outcomes.iter().enumerate().skip(1) {
             assert!(

@@ -64,9 +64,10 @@ use crate::experiment::Configuration;
 /// leaves room for the corpus kernels and traces, or for a second VC
 /// width. The largest suite program has 1 588 instructions (19 KiB, its
 /// hints 3.1 KiB), so suite keys alone stay under 6 MiB. A kernel or trace
-/// entry also keeps its hint-free program, whose size the decoders do not
-/// bound: there the worst case is 256 times the largest program a client
-/// named.
+/// entry also keeps its hint-free program, which every decoder caps at
+/// [`MAX_PROGRAM_INSTS`](virtclust_trace::text::MAX_PROGRAM_INSTS)
+/// (16 384) instructions: about 192 KiB, plus 32 KiB of hints. The worst
+/// case is 256 such entries, about 56 MiB.
 const MAX_ENTRIES: usize = 256;
 
 /// Most finished point results one drain's cache holds before that table

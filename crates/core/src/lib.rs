@@ -37,8 +37,8 @@ pub mod replay;
 pub mod runner;
 
 pub use batch::{
-    BatchHandle, BatchMetrics, BatchReport, CellOutcome, EvalDriver, EvalJob, JobDone, JobError,
-    JobMetrics, JobSource, JobTally, ResilientOptions, RetryPolicy, SourcedJob,
+    BatchMetrics, BatchReport, CellOutcome, EvalDriver, EvalJob, JobDone, JobError, JobMetrics,
+    JobSource, JobTally, ResilientOptions, RetryPolicy, SourcedJob,
 };
 pub use experiment::{run_point, run_point_on, Configuration};
 pub use figures::{fig5, fig6, fig7, Fig5Data, Fig6Data, Fig7Data};

@@ -81,7 +81,8 @@ use std::collections::VecDeque;
 
 use virtclust_obs::{IntervalSample, Log2Hist, ObsSink, SkipSpan};
 use virtclust_uarch::{
-    DynUop, MachineConfig, OpClass, QueueKind, RegClass, TraceSource, MAX_SRCS, NUM_ARCH_REGS,
+    ArchReg, DynUop, MachineConfig, OpClass, QueueKind, RegClass, TraceSource, MAX_SRCS,
+    NUM_ARCH_REGS,
 };
 
 use crate::cache::{LoadPath, MemorySystem};
@@ -255,33 +256,15 @@ impl StaleRing {
     }
 }
 
-/// Epoch-batched dispatch plan memo: the post-policy stall outcome
-/// (`PolicyStall`/`IqFull`/`RfFull`/`CopyQueueFull`) computed for the
-/// front micro-op `seq` under the generation snapshot `key`. While every
-/// generation still matches, re-running steer + structural checks is
-/// provably a no-op and `dispatch` consumes the memo instead (pure
-/// policies only; debug builds recompute from scratch and assert).
+/// Where dispatch sends the front micro-op: the steered `cluster` and the
+/// copies it inserts first, as `(source register, cluster the copy reads
+/// from)`. A micro-op has at most [`MAX_SRCS`] sources, so the plan fits a
+/// fixed inline array (no per-uop allocation).
 #[derive(Debug, Clone, Copy)]
-struct PlanMemo {
-    seq: u64,
-    key: PlanKey,
-    reason: StallReason,
-}
-
-/// The generation snapshot keying a [`PlanMemo`]: every mutable input of
-/// the front-of-queue stall classification is covered by one counter —
-/// issue-queue occupancy and in-flight increments by the steering
-/// summary's generation, register-file pressure / value readiness / copy
-/// sources by the value tracker's, the live and stale location views by
-/// `loc_gen`/`stale_gen`, completion-side in-flight decrements by
-/// `inflight_gen`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlanKey {
-    sum_gen: u64,
-    val_gen: u64,
-    loc_gen: u64,
-    stale_gen: u64,
-    inflight_gen: u64,
+struct DispatchPlan {
+    cluster: u8,
+    copies: [(ArchReg, u8); MAX_SRCS],
+    n_copies: usize,
 }
 
 /// Cycles without a commit (while work is in flight) after which the
@@ -303,14 +286,14 @@ pub struct StageTimers {
 
 impl StageTimers {
     /// Number of timed buckets per cycle: the seven pipeline stages, the
-    /// dispatch-plan bucket, and the skip bucket.
+    /// stale-view bucket, and the skip bucket.
     pub const NUM_STAGES: usize = 9;
 
-    /// Bucket index of the plan bucket: host time spent maintaining the
-    /// epoch-batched dispatch plan (advancing the stale-view delay line,
-    /// rolling epochs). Split out of `dispatch/steer` so plan maintenance
-    /// is visible instead of silently inflating the dispatch share.
-    pub const PLAN: usize = 5;
+    /// Bucket index of the stale-view bucket: host time spent advancing
+    /// the steering unit's stale location view (the delay line of
+    /// location epochs). Split out of `dispatch/steer` so the view's
+    /// upkeep is visible instead of silently inflating the dispatch share.
+    pub const STALE_VIEW: usize = 5;
 
     /// Bucket index of the skip bucket: host time spent probing for and
     /// applying idle-span skips. On idle-heavy workloads this is where
@@ -325,7 +308,7 @@ impl StageTimers {
         "store-drain",
         "memory",
         "issue",
-        "plan",
+        "stale-view",
         "dispatch/steer",
         "fetch",
         "skip",
@@ -550,25 +533,14 @@ pub struct SimSession {
     cur_loc: [ClusterMask; NUM_ARCH_REGS],
     stale_loc: [ClusterMask; NUM_ARCH_REGS],
     stale_ring: StaleRing,
-    // Generation counters backing the epoch-batched dispatch plan.
-    // `loc_gen` is bumped at every `cur_loc` write (dispatch renames, copy
-    // insertions, `place_register`); `stale_gen` is the generation of the
-    // snapshot currently in `stale_loc`; `inflight_gen` is bumped whenever
-    // a per-cluster in-flight count drops at completion (increments are
-    // already covered by the steering summary's generation). Together with
-    // the steering-summary and value-tracker generations they key the
-    // dispatch plan memo.
+    // Location-epoch generations. `loc_gen` is bumped at every `cur_loc`
+    // write (dispatch renames, copy insertions, `place_register`);
+    // `stale_gen` is the generation of the snapshot currently in
+    // `stale_loc`. Equal generations mean equal snapshots, which is what
+    // lets the delay line merge runs and the idle-span probe steer once
+    // per stale epoch.
     loc_gen: u64,
     stale_gen: u64,
-    inflight_gen: u64,
-    // Epoch-batched dispatch plan: the front micro-op's post-policy stall
-    // outcome, memoized against the generation counters above. Valid only
-    // for pure steering policies; consumed cycle-by-cycle by `dispatch`
-    // and seeded into the idle-span probe's epoch walk. Invalidated
-    // implicitly by any generation bump (IQ insert/remove, value-tracker
-    // mutation, rename/`cur_loc` write, epoch roll, completion) and
-    // explicitly by `reset`.
-    plan: Option<PlanMemo>,
     // Bookkeeping.
     stats: SimStats,
     last_commit_cycle: u64,
@@ -653,8 +625,6 @@ impl SimSession {
             stale_ring: StaleRing::default(),
             loc_gen: 0,
             stale_gen: 0,
-            inflight_gen: 0,
-            plan: None,
             stats: SimStats::new(cfg.num_clusters),
             last_commit_cycle: 0,
             skip_enabled: true,
@@ -751,8 +721,6 @@ impl SimSession {
         self.stale_ring.clear();
         self.loc_gen = 1;
         self.stale_gen = 0;
-        self.inflight_gen = 0;
-        self.plan = None;
 
         self.stats = SimStats::new(n);
         self.last_commit_cycle = 0;
@@ -781,7 +749,7 @@ impl SimSession {
     /// one `cluster` (instead of the default "ready everywhere"). Used to
     /// set up steering scenarios such as the paper's Sec. 2.1 example.
     /// Call before the first [`SimSession::step`].
-    pub fn place_register(&mut self, reg: virtclust_uarch::ArchReg, cluster: u8) {
+    pub fn place_register(&mut self, reg: ArchReg, cluster: u8) {
         assert_eq!(
             self.now, 0,
             "place_register only valid before simulation starts"
@@ -1061,7 +1029,6 @@ impl SimSession {
             self.values.mark_produced(tag);
         }
         self.inflight[cluster as usize] -= 1;
-        self.inflight_gen += 1;
         if op == OpClass::Branch && mispredicted && self.halted_for_branch {
             // Redirect: the front-end restarts and refills the pipe.
             self.halted_for_branch = false;
@@ -1081,7 +1048,6 @@ impl SimSession {
             self.values.mark_produced(tag);
         }
         self.inflight[cluster as usize] -= 1;
-        self.inflight_gen += 1;
     }
 
     // ------------------------------------------------------------------
@@ -1392,8 +1358,8 @@ impl SimSession {
     /// Advance the parallel-steering delay line by one cycle: push the
     /// live location epoch and, once the ring covers `fetch_to_dispatch`
     /// cycles, pop the oldest epoch into `stale_loc`. Split from
-    /// [`SimSession::dispatch`] so the timed step attributes plan/epoch
-    /// maintenance to its own [`StageTimers::PLAN`] bucket.
+    /// [`SimSession::dispatch`] so the timed step attributes the delay
+    /// line's upkeep to its own [`StageTimers::STALE_VIEW`] bucket.
     fn roll_stale_epoch(&mut self) {
         // The parallel-steering snapshot: a pipelined (non-serializing)
         // steering unit computes its decisions while the bundle traverses
@@ -1412,36 +1378,84 @@ impl SimSession {
         }
     }
 
-    /// The generation snapshot keying the dispatch-plan memo right now.
-    #[inline]
-    fn plan_key(&self) -> PlanKey {
-        PlanKey {
-            sum_gen: self.steer_sum.gen(),
-            val_gen: self.values.mut_gen(),
-            loc_gen: self.loc_gen,
-            stale_gen: self.stale_gen,
-            inflight_gen: self.inflight_gen,
+    /// What dispatch does with the front micro-op `uop` once the ROB/LSQ
+    /// checks pass: steer it against the stale snapshot `stale`, then
+    /// check the chosen cluster's issue queue, register file and the copy
+    /// queues, in that order. Returns the plan dispatch carries out, or
+    /// the stall it records. [`SimSession::dispatch`] passes the live
+    /// `stale_loc`; the idle-span
+    /// probe passes each stale epoch of a frozen span, every other input
+    /// being frozen there (queue occupancies and register-file use move
+    /// only at dispatch, issue or commit, value locations and readiness
+    /// only at renames and completions — all of which either end the span
+    /// or cannot run inside it).
+    ///
+    /// A cluster the machine does not have comes back unchecked as a plan
+    /// with no copies: the probe then sees dispatch acting this cycle, and
+    /// `dispatch` raises the range assert.
+    fn plan_dispatch(
+        &self,
+        policy: &mut dyn SteeringPolicy,
+        uop: &DynUop,
+        stale: &[ClusterMask; NUM_ARCH_REGS],
+    ) -> Result<DispatchPlan, StallReason> {
+        // The view is a window onto incrementally maintained state
+        // (locations, occupancy summary), so building it per micro-op
+        // copies a handful of references.
+        let view = SteerView {
+            num_clusters: self.cfg.num_clusters,
+            cur_loc: &self.cur_loc,
+            stale_loc: stale,
+            summary: &self.steer_sum,
+            inflight: &self.inflight,
+        };
+        let cluster = match policy.steer(uop, &view) {
+            SteerDecision::Stall => return Err(StallReason::PolicyStall),
+            SteerDecision::Cluster(c) => c,
+        };
+        let mut plan = DispatchPlan {
+            cluster,
+            copies: [(ArchReg::int(0), 0); MAX_SRCS],
+            n_copies: 0,
+        };
+        if cluster as usize >= self.cfg.num_clusters {
+            return Ok(plan);
         }
-    }
-
-    /// Look up the memoized post-policy stall outcome for front micro-op
-    /// `seq`: valid only while every generation the classification reads
-    /// is unchanged since the plan was computed.
-    #[inline]
-    fn plan_lookup(&self, seq: u64) -> Option<StallReason> {
-        let memo = self.plan.as_ref()?;
-        (memo.seq == seq && memo.key == self.plan_key()).then_some(memo.reason)
-    }
-
-    /// Record the post-policy stall outcome just computed for front
-    /// micro-op `seq` into the dispatch plan.
-    #[inline]
-    fn plan_store(&mut self, seq: u64, reason: StallReason) {
-        self.plan = Some(PlanMemo {
-            seq,
-            key: self.plan_key(),
-            reason,
-        });
+        if !self.iqs[cluster as usize][uop.op.queue().index()].has_space() {
+            return Err(StallReason::IqFull);
+        }
+        if let Some(dst) = uop.dst {
+            let cap = match dst.class {
+                RegClass::Int => self.cfg.int_regs_per_cluster,
+                RegClass::Flt => self.cfg.fp_regs_per_cluster,
+            };
+            if self.values.rf_used(cluster, dst.class) as usize >= cap {
+                return Err(StallReason::RfFull);
+            }
+        }
+        // Copies for sources not present in the target cluster, each read
+        // from the cluster `copy_source` picks; every source cluster's copy
+        // queue must hold the copies planned into it.
+        let mut planned_per_cluster = [0usize; 8];
+        for src in uop.srcs.iter() {
+            if plan.copies[..plan.n_copies].iter().any(|&(r, _)| r == src) {
+                continue; // same register read twice: one copy.
+            }
+            let loc = self.cur_loc[src.flat()];
+            debug_assert_eq!(loc, self.rename.location(src, &self.values));
+            if loc & cluster_bit(cluster) != 0 {
+                continue;
+            }
+            let from = self.copy_source(self.rename.tag(src));
+            let queue = &self.iqs[from as usize][QueueKind::Copy.index()];
+            if queue.len() + planned_per_cluster[from as usize] >= queue.capacity() {
+                return Err(StallReason::CopyQueueFull);
+            }
+            planned_per_cluster[from as usize] += 1;
+            plan.copies[plan.n_copies] = (src, from);
+            plan.n_copies += 1;
+        }
+        Ok(plan)
     }
 
     fn dispatch(&mut self, policy: &mut dyn SteeringPolicy) {
@@ -1449,27 +1463,13 @@ impl SimSession {
         let mut budget_fp = self.cfg.dispatch_width_fp;
         let mut dispatched_any = false;
         let mut stalled = false;
-        let policy_pure = policy.steer_is_pure();
-
-        // The front micro-op is probed through an immutable borrow and only
-        // moved out of the fetch queue once dispatch is certain: a stalled
-        // front would otherwise pay a DynUop copy per re-check cycle.
-        enum Probe {
-            Stall {
-                reason: StallReason,
-                seq: u64,
-                store_plan: bool,
-            },
-            Go {
-                cluster: u8,
-                is_fp: bool,
-                copy_regs: [(virtclust_uarch::ArchReg, u8); MAX_SRCS],
-                n_copies: usize,
-            },
-        }
 
         loop {
-            let probe = {
+            // The front micro-op is probed through an immutable borrow and
+            // only moved out of the fetch queue once dispatch is certain: a
+            // stalled front would otherwise pay a DynUop copy per re-check
+            // cycle.
+            let verdict = {
                 let Some(front) = self.fetchq.front() else {
                     break;
                 };
@@ -1481,168 +1481,32 @@ impl SimSession {
                 if (if is_fp { budget_fp } else { budget_int }) == 0 {
                     break;
                 }
-
                 // Structural checks that do not depend on the steering
-                // decision. Cheap and not generation-tracked, so always
-                // re-checked fresh.
+                // decision come first: they stall before the policy runs.
                 if self.rob.len() >= self.cfg.rob_entries {
-                    Probe::Stall {
-                        reason: StallReason::RobFull,
-                        seq: uop.seq,
-                        store_plan: false,
-                    }
+                    Err(StallReason::RobFull)
                 } else if uop.op.is_mem() && !self.lsq.has_space() {
-                    Probe::Stall {
-                        reason: StallReason::LsqFull,
-                        seq: uop.seq,
-                        store_plan: false,
-                    }
-                } else if let Some(reason) = if policy_pure {
-                    // Consume the epoch-batched plan: a pure policy's steer +
-                    // post-policy structural outcome for this micro-op was
-                    // computed on an earlier cycle and every input generation
-                    // still matches, so re-deriving it would provably produce
-                    // the same stall.
-                    self.plan_lookup(uop.seq)
+                    Err(StallReason::LsqFull)
                 } else {
-                    None
-                } {
-                    #[cfg(debug_assertions)]
-                    {
-                        // Plan mirror: recompute the classification from
-                        // scratch every consumed cycle and assert the memo.
-                        let stale = self.stale_loc;
-                        debug_assert_eq!(
-                            self.front_stall_kind(policy, uop, &stale),
-                            Some(reason),
-                            "dispatch plan memo diverged from recompute \
-                             (seq {}, cycle {})",
-                            uop.seq,
-                            self.now
-                        );
-                    }
-                    Probe::Stall {
-                        reason,
-                        seq: uop.seq,
-                        store_plan: false,
-                    }
-                } else {
-                    // Ask the policy. The view is a window onto incrementally
-                    // maintained state (locations, occupancy summary), so
-                    // building it per micro-op copies a handful of references.
-                    let decision = {
-                        let view = SteerView {
-                            num_clusters: self.cfg.num_clusters,
-                            cur_loc: &self.cur_loc,
-                            stale_loc: &self.stale_loc,
-                            summary: &self.steer_sum,
-                            inflight: &self.inflight,
-                        };
-                        policy.steer(uop, &view)
-                    };
-                    match decision {
-                        SteerDecision::Stall => Probe::Stall {
-                            reason: StallReason::PolicyStall,
-                            seq: uop.seq,
-                            store_plan: policy_pure,
-                        },
-                        SteerDecision::Cluster(cluster) => {
-                            assert!(
-                                (cluster as usize) < self.cfg.num_clusters,
-                                "policy steered to nonexistent cluster {cluster}"
-                            );
-                            // Structural checks for the chosen cluster.
-                            let kind = uop.op.queue();
-                            let rf_full = uop.dst.is_some_and(|dst| {
-                                let cap = match dst.class {
-                                    RegClass::Int => self.cfg.int_regs_per_cluster,
-                                    RegClass::Flt => self.cfg.fp_regs_per_cluster,
-                                };
-                                self.values.rf_used(cluster, dst.class) as usize >= cap
-                            });
-                            if !self.iqs[cluster as usize][kind.index()].has_space() {
-                                Probe::Stall {
-                                    reason: StallReason::IqFull,
-                                    seq: uop.seq,
-                                    store_plan: policy_pure,
-                                }
-                            } else if rf_full {
-                                Probe::Stall {
-                                    reason: StallReason::RfFull,
-                                    seq: uop.seq,
-                                    store_plan: policy_pure,
-                                }
-                            } else {
-                                // Plan copies for sources not present in the
-                                // target cluster. A micro-op has at most
-                                // MAX_SRCS sources, so the plan fits a fixed
-                                // inline array (no per-uop allocation).
-                                let mut copy_regs =
-                                    [(virtclust_uarch::ArchReg::int(0), 0u8); MAX_SRCS];
-                                let mut n_copies = 0usize;
-                                let mut planned_per_cluster = [0usize; 8];
-                                let mut copyq_blocked = false;
-                                for src in uop.srcs.iter() {
-                                    if copy_regs[..n_copies].iter().any(|&(r, _)| r == src) {
-                                        continue; // same register read twice: one copy.
-                                    }
-                                    let loc = self.cur_loc[src.flat()];
-                                    debug_assert_eq!(loc, self.rename.location(src, &self.values));
-                                    if loc & cluster_bit(cluster) != 0 {
-                                        continue;
-                                    }
-                                    let from = self.copy_source(self.rename.tag(src));
-                                    let queue = &self.iqs[from as usize][QueueKind::Copy.index()];
-                                    if queue.len() + planned_per_cluster[from as usize]
-                                        >= queue.capacity()
-                                    {
-                                        copyq_blocked = true;
-                                        break;
-                                    }
-                                    planned_per_cluster[from as usize] += 1;
-                                    copy_regs[n_copies] = (src, from);
-                                    n_copies += 1;
-                                }
-                                if copyq_blocked {
-                                    Probe::Stall {
-                                        reason: StallReason::CopyQueueFull,
-                                        seq: uop.seq,
-                                        store_plan: policy_pure,
-                                    }
-                                } else {
-                                    Probe::Go {
-                                        cluster,
-                                        is_fp,
-                                        copy_regs,
-                                        n_copies,
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    self.plan_dispatch(policy, uop, &self.stale_loc)
                 }
             };
-
-            let (cluster, is_fp, copy_regs, n_copies) = match probe {
-                Probe::Stall {
-                    reason,
-                    seq,
-                    store_plan,
-                } => {
+            let DispatchPlan {
+                cluster,
+                copies,
+                n_copies,
+            } = match verdict {
+                Ok(plan) => plan,
+                Err(reason) => {
                     self.stats.dispatch_stalls[reason.index()] += 1;
                     stalled = true;
-                    if store_plan {
-                        self.plan_store(seq, reason);
-                    }
                     break;
                 }
-                Probe::Go {
-                    cluster,
-                    is_fp,
-                    copy_regs,
-                    n_copies,
-                } => (cluster, is_fp, copy_regs, n_copies),
             };
+            assert!(
+                (cluster as usize) < self.cfg.num_clusters,
+                "policy steered to nonexistent cluster {cluster}"
+            );
 
             // All checks passed: dispatch for real. This is the only place
             // the micro-op leaves the fetch queue (a single move).
@@ -1671,7 +1535,7 @@ impl SimSession {
             }
 
             // Copy generation (the paper's copy generator, now policy-free).
-            for &(reg, from) in &copy_regs[..n_copies] {
+            for &(reg, from) in &copies[..n_copies] {
                 let tag = self.rename.tag(reg);
                 self.values.begin_copy(tag, cluster);
                 self.cur_loc[reg.flat()] |= cluster_bit(cluster);
@@ -1735,7 +1599,7 @@ impl SimSession {
             self.steer_sum.insert(cluster as usize, kind);
             self.inflight[cluster as usize] += 1;
             self.stats.clusters[cluster as usize].dispatched += 1;
-            if is_fp {
+            if uop.op.is_fp() {
                 budget_fp -= 1;
             } else {
                 budget_int -= 1;
@@ -2063,13 +1927,12 @@ impl SimSession {
     /// ring is still filling (`len + i < depth`), then against the old
     /// ring runs front to back, then against `cur_loc` forever. The runs
     /// are location *epochs* — classifying each distinct generation once
-    /// covers every cycle, and a one-slot generation cache (seeded from
-    /// the dispatch-plan memo when it is still valid) dedups adjacent
-    /// repeats, so the typical all-one-epoch probe costs at most one
-    /// policy call. The prefix is `u64::MAX` when the outcome holds for
-    /// as long as the pipeline stays frozen. The probe's steer calls are
-    /// unobservable by the purity contract, so skipping and stepping stay
-    /// bit-identical.
+    /// with [`SimSession::plan_dispatch`] covers every cycle, and a
+    /// one-slot generation cache dedups adjacent repeats, so the typical
+    /// all-one-epoch probe costs one policy call. The prefix is `u64::MAX`
+    /// when the outcome holds for as long as the pipeline stays frozen.
+    /// The probe's steer calls are unobservable by the purity contract, so
+    /// skipping and stepping stay bit-identical.
     fn dispatch_stall_prefix(
         &self,
         policy: &mut dyn SteeringPolicy,
@@ -2077,25 +1940,6 @@ impl SimSession {
     ) -> (u64, Option<StallReason>) {
         let depth = u64::from(self.cfg.fetch_to_dispatch);
         let len = self.stale_ring.len();
-        // Seed the generation cache from the dispatch plan: when every
-        // non-stale generation matches, the memo is exactly the
-        // classification of the epoch it was computed against.
-        let mut cached_gen = 0u64;
-        let mut cached_kind: Option<StallReason> = None;
-        let mut have_cache = false;
-        if let Some(memo) = &self.plan {
-            let key = self.plan_key();
-            if memo.seq == uop.seq
-                && memo.key.sum_gen == key.sum_gen
-                && memo.key.val_gen == key.val_gen
-                && memo.key.loc_gen == key.loc_gen
-                && memo.key.inflight_gen == key.inflight_gen
-            {
-                cached_gen = memo.key.stale_gen;
-                cached_kind = Some(memo.reason);
-                have_cache = true;
-            }
-        }
         let epochs = (len < depth)
             .then_some((&self.stale_loc, self.stale_gen, depth - len))
             .into_iter()
@@ -2106,24 +1950,26 @@ impl SimSession {
                     .map(|run| (&run.snap, run.gen, run.count)),
             )
             .chain(std::iter::once((&self.cur_loc, self.loc_gen, u64::MAX)));
+        let mut cached: Option<(u64, Option<StallReason>)> = None;
         let mut prefix = 0u64;
         let mut kind0 = None;
         for (i, (stale, gen, cycles)) in epochs.enumerate() {
-            let kind = if have_cache && gen == cached_gen {
-                debug_assert_eq!(
-                    cached_kind,
-                    self.front_stall_kind(policy, uop, stale),
-                    "stall-prefix generation cache diverged from recompute \
-                     (gen {gen}, cycle {})",
-                    self.now
-                );
-                cached_kind
-            } else {
-                let k = self.front_stall_kind(policy, uop, stale);
-                cached_gen = gen;
-                cached_kind = k;
-                have_cache = true;
-                k
+            let kind = match cached {
+                Some((cached_gen, k)) if cached_gen == gen => {
+                    debug_assert_eq!(
+                        k,
+                        self.plan_dispatch(policy, uop, stale).err(),
+                        "stall-prefix generation cache diverged from recompute \
+                         (gen {gen}, cycle {})",
+                        self.now
+                    );
+                    k
+                }
+                _ => {
+                    let k = self.plan_dispatch(policy, uop, stale).err();
+                    cached = Some((gen, k));
+                    k
+                }
             };
             if i == 0 {
                 if kind.is_none() {
@@ -2136,71 +1982,6 @@ impl SimSession {
             prefix = prefix.saturating_add(cycles);
         }
         (prefix, kind0)
-    }
-
-    /// What dispatch would do to the front micro-op against the given
-    /// stale snapshot, given that the pre-policy structural checks pass:
-    /// `None` if it would dispatch, otherwise the stall it would record.
-    /// A read-only twin of the policy-and-onward checks in
-    /// [`SimSession::dispatch`]; every input except the snapshot is frozen
-    /// during an event-free span (queue occupancies and register-file use
-    /// move only at dispatch, issue, or commit, value locations and
-    /// readiness only at renames and completions — all of which either
-    /// end the span or cannot run inside it).
-    fn front_stall_kind(
-        &self,
-        policy: &mut dyn SteeringPolicy,
-        uop: &DynUop,
-        stale: &[ClusterMask; NUM_ARCH_REGS],
-    ) -> Option<StallReason> {
-        let view = SteerView {
-            num_clusters: self.cfg.num_clusters,
-            cur_loc: &self.cur_loc,
-            stale_loc: stale,
-            summary: &self.steer_sum,
-            inflight: &self.inflight,
-        };
-        let cluster = match policy.steer(uop, &view) {
-            SteerDecision::Stall => return Some(StallReason::PolicyStall),
-            SteerDecision::Cluster(c) => c,
-        };
-        if cluster as usize >= self.cfg.num_clusters {
-            return None; // let the real dispatch raise its assert
-        }
-        let kind = uop.op.queue();
-        if !self.iqs[cluster as usize][kind.index()].has_space() {
-            return Some(StallReason::IqFull);
-        }
-        if let Some(dst) = uop.dst {
-            let cap = match dst.class {
-                RegClass::Int => self.cfg.int_regs_per_cluster,
-                RegClass::Flt => self.cfg.fp_regs_per_cluster,
-            };
-            if self.values.rf_used(cluster, dst.class) as usize >= cap {
-                return Some(StallReason::RfFull);
-            }
-        }
-        // Copy-plan feasibility: the read-only half of dispatch's planner.
-        let mut copy_regs = [virtclust_uarch::ArchReg::int(0); MAX_SRCS];
-        let mut n_copies = 0usize;
-        let mut planned_per_cluster = [0usize; 8];
-        for src in uop.srcs.iter() {
-            if copy_regs[..n_copies].contains(&src) {
-                continue;
-            }
-            if self.cur_loc[src.flat()] & cluster_bit(cluster) != 0 {
-                continue;
-            }
-            let from = self.copy_source(self.rename.tag(src));
-            let queue = &self.iqs[from as usize][QueueKind::Copy.index()];
-            if queue.len() + planned_per_cluster[from as usize] >= queue.capacity() {
-                return Some(StallReason::CopyQueueFull);
-            }
-            planned_per_cluster[from as usize] += 1;
-            copy_regs[n_copies] = src;
-            n_copies += 1;
-        }
-        None
     }
 
     /// Earliest calendar slot after `now` holding an event, scanning at
@@ -2397,7 +2178,7 @@ impl SimSession {
         }
         self.roll_stale_epoch();
         if TIMED {
-            Self::lap(timers, &mut t0, StageTimers::PLAN);
+            Self::lap(timers, &mut t0, StageTimers::STALE_VIEW);
         }
         self.dispatch(policy);
         if TIMED {

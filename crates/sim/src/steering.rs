@@ -60,11 +60,6 @@ pub struct SteerSummary {
     busy: [ClusterMask; 3],
     /// Bit `c` of `full[kind]` set ⇔ cluster `c`'s `kind` queue is full.
     full: [ClusterMask; 3],
-    /// Mutation generation: bumped by every insert/remove. Equal
-    /// generations guarantee the occupancy/busy/full state is unchanged —
-    /// the invalidation hook the session's epoch-batched dispatch plan
-    /// keys on. Host-side only; never part of the statistics surface.
-    gen: u64,
 }
 
 impl SteerSummary {
@@ -78,7 +73,6 @@ impl SteerSummary {
     /// keeping allocations (session reuse).
     pub fn reset(&mut self, num_clusters: usize, cap: [usize; 3], busy_threshold: f64) {
         self.num_clusters = num_clusters;
-        self.gen = 0;
         self.occ.clear();
         self.occ.resize(num_clusters, [0; 3]);
         self.cap = cap;
@@ -103,16 +97,9 @@ impl SteerSummary {
         }
     }
 
-    /// Current mutation generation (see the field doc).
-    #[inline]
-    pub fn gen(&self) -> u64 {
-        self.gen
-    }
-
     /// One entry entered `cluster`'s `kind` queue.
     #[inline]
     pub fn insert(&mut self, cluster: usize, kind: QueueKind) {
-        self.gen += 1;
         let k = kind.index();
         let occ = &mut self.occ[cluster][k];
         *occ += 1;
@@ -131,7 +118,6 @@ impl SteerSummary {
         if n == 0 {
             return;
         }
-        self.gen += 1;
         let k = kind.index();
         let occ = &mut self.occ[cluster][k];
         debug_assert!(*occ >= n, "occupancy underflow");
@@ -283,11 +269,11 @@ pub trait SteeringPolicy {
     /// stalled front micro-op *and* make extra probe calls, with no
     /// observable effect — which is what opts the policy in to the
     /// idle-span optimisation for dispatch-stall cycles (a policy stall,
-    /// or a steered target blocked on queue/register-file/copy resources)
-    /// and to the epoch-batched dispatch plan: while a stalled micro-op
-    /// waits on a frozen pipeline, the per-cycle re-steer calls stepping
-    /// would make are provably identical, so the simulator replays the
-    /// memoized outcome instead. A function of `(uop, view)` qualifies, so
+    /// or a steered target blocked on queue/register-file/copy resources):
+    /// while a stalled micro-op waits on a frozen pipeline, the per-cycle
+    /// re-steer calls stepping would make are provably identical, so the
+    /// probe steers once per stale epoch and the simulator skips the span
+    /// instead of stepping it. A function of `(uop, view)` qualifies, so
     /// does a statistical cursor (e.g. "count each hint-less micro-op
     /// once", keyed by `uop.seq`), and so does a mapping table that a
     /// repeat call rewrites with the value it already holds (the VC

@@ -114,13 +114,6 @@ pub struct ValueTracker {
     /// Consumers woken by ready-bit transitions since the last
     /// [`ValueTracker::drain_woken`], in wake order.
     woken: Vec<Waiter>,
-    /// Mutation generation: bumped by every operation that can change what
-    /// a dispatch-time classification reads from the tracker (slot
-    /// allocation, reference release, readiness transitions, copy
-    /// registration). The session's epoch-batched dispatch plan keys on it
-    /// to prove a memoized outcome is still valid. Host-side only — never
-    /// part of the statistics surface.
-    mut_gen: u64,
 }
 
 fn class_index(class: RegClass) -> usize {
@@ -142,7 +135,6 @@ impl ValueTracker {
             waiter_nodes: Vec::new(),
             free_waiters: Vec::new(),
             woken: Vec::new(),
-            mut_gen: 0,
         }
     }
 
@@ -161,18 +153,9 @@ impl ValueTracker {
         self.waiter_nodes.clear();
         self.free_waiters.clear();
         self.woken.clear();
-        self.mut_gen = 0;
-    }
-
-    /// Current mutation generation (see the field doc). Equal generations
-    /// guarantee every tracker-derived input of a dispatch classification
-    /// is unchanged.
-    pub fn mut_gen(&self) -> u64 {
-        self.mut_gen
     }
 
     fn alloc_slot(&mut self, st: ValueState) -> ValueTag {
-        self.mut_gen += 1;
         let occupancy = st.ready | st.pending;
         let class = st.class;
         let tag = match self.free.pop() {
@@ -268,7 +251,6 @@ impl ValueTracker {
     /// the count reaches zero.
     #[inline]
     pub fn release(&mut self, tag: ValueTag) {
-        self.mut_gen += 1;
         let st = self.state_mut(tag);
         debug_assert!(st.refs > 0, "release of unreferenced value {tag}");
         st.refs -= 1;
@@ -334,7 +316,6 @@ impl ValueTracker {
     /// side's reference — one fused slot pass instead of three separate
     /// re-lookups (bit update / wake / release).
     fn ready_transition(&mut self, tag: ValueTag, cluster: u8) {
-        self.mut_gen += 1;
         let bit = cluster_bit(cluster);
         let st = &mut self.slots[tag as usize];
         debug_assert!(st.live, "use of freed value tag {tag}");
@@ -365,7 +346,6 @@ impl ValueTracker {
     /// location bit (so later consumers do not request duplicate copies),
     /// charges a destination register, and takes the copy's reference.
     pub fn begin_copy(&mut self, tag: ValueTag, dest: u8) {
-        self.mut_gen += 1;
         debug_assert!((dest as usize) < self.num_clusters);
         let bit = cluster_bit(dest);
         let st = self.state_mut(tag);

@@ -1,11 +1,15 @@
 //! End-to-end runs of the pipeline on hand-built regions: IPC bounds,
-//! copy generation and delivery, memory and branch paths, run limits and
-//! determinism.
+//! copy generation and delivery, memory and branch paths, run limits,
+//! determinism and the steering range check.
 
 mod common;
 
+use std::cell::Cell;
+use std::panic::AssertUnwindSafe;
+use std::rc::Rc;
+
 use common::{expand, r, RoundRobin, ToZero};
-use virtclust_sim::{RunLimits, SimSession, SimStats, SteeringPolicy};
+use virtclust_sim::{RunLimits, SimSession, SimStats, SteerDecision, SteerView, SteeringPolicy};
 use virtclust_uarch::{DynUop, MachineConfig, Region, RegionBuilder, SliceTrace};
 
 /// A small hot working set: 64 consecutive words.
@@ -193,4 +197,69 @@ fn empty_trace_finishes_immediately() {
     let stats = run(&[], &mut ToZero);
     assert_eq!(stats.committed_uops, 0);
     assert!(stats.cycles <= 2);
+}
+
+/// Steers every micro-op to the first cluster the machine does not have,
+/// counting its calls; `pure` is what it declares.
+struct OutOfRange {
+    pure: bool,
+    calls: Rc<Cell<u32>>,
+}
+
+impl SteeringPolicy for OutOfRange {
+    fn name(&self) -> String {
+        "out-of-range".into()
+    }
+    fn steer(&mut self, _uop: &DynUop, view: &SteerView<'_>) -> SteerDecision {
+        self.calls.set(self.calls.get() + 1);
+        SteerDecision::Cluster(view.num_clusters() as u8)
+    }
+    fn steer_is_pure(&self) -> bool {
+        self.pure
+    }
+}
+
+/// A decision naming a cluster the machine does not have panics in
+/// dispatch, for a pure and an impure policy, with skipping on and off.
+/// The idle-span probe treats such a decision as dispatch acting this
+/// cycle: under skipping a pure policy is steered once by the probe and
+/// once more by dispatch, whose call raises the panic.
+#[test]
+fn steering_to_a_nonexistent_cluster_panics_in_dispatch() {
+    let uops = expand(&alu_chain_region(1), 1, hot);
+    let cfg = MachineConfig::default();
+    for pure in [true, false] {
+        for skip in [true, false] {
+            let calls = Rc::new(Cell::new(0));
+            let mut policy = OutOfRange {
+                pure,
+                calls: calls.clone(),
+            };
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut session = SimSession::new(&cfg);
+                session.set_cycle_skipping(skip);
+                session.run(
+                    &mut SliceTrace::new(&uops),
+                    &mut policy,
+                    &RunLimits::unlimited(),
+                )
+            }))
+            .expect_err("steering out of range must panic");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                msg.contains("policy steered to nonexistent cluster 2"),
+                "pure={pure} skip={skip}: {msg}"
+            );
+            let expected_calls = if pure && skip { 2 } else { 1 };
+            assert_eq!(
+                calls.get(),
+                expected_calls,
+                "pure={pure} skip={skip}: the panic must come from dispatch's call"
+            );
+        }
+    }
 }

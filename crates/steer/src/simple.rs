@@ -45,8 +45,8 @@ impl SteeringPolicy for OneCluster {
 /// counted once no matter how many times the simulator consults the policy
 /// for it), so the policy declares
 /// [`SteeringPolicy::steer_is_pure`] — which is what lets the simulator
-/// skip OB/RHOP dispatch-stall spans and consume the epoch-batched
-/// dispatch plan instead of re-steering every stalled cycle.
+/// skip OB/RHOP dispatch-stall spans instead of re-steering every stalled
+/// cycle.
 #[derive(Debug, Clone, Default)]
 pub struct StaticFollow {
     unannotated: u64,

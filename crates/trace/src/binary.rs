@@ -23,6 +23,7 @@ use std::io::{BufRead, Read, Write};
 
 use crate::error::{Result, TraceError};
 use crate::record::RawRecord;
+use crate::text;
 use crate::FORMAT_VERSION;
 
 /// Magic bytes opening a binary trace.
@@ -103,14 +104,18 @@ pub fn read_header<R: BufRead>(r: &mut R) -> Result<(String, Option<u64>)> {
     }
     // The length comes from the file: read through `take` so the buffer
     // grows with the bytes that actually arrive, never to a corrupt
-    // prefix's claim.
+    // prefix's claim, and never past the program-text bound.
     let len = read_varint(r)?;
-    let mut text = Vec::new();
-    r.take(len).read_to_end(&mut text)?;
-    if (text.len() as u64) < len {
+    let mut bytes = Vec::new();
+    r.take(len.min(text::MAX_PROGRAM_BYTES + 1))
+        .read_to_end(&mut bytes)?;
+    if bytes.len() as u64 > text::MAX_PROGRAM_BYTES {
+        return Err(text::program_text_too_large());
+    }
+    if (bytes.len() as u64) < len {
         return Err(TraceError::Corrupt("truncated embedded program".into()));
     }
-    let text = String::from_utf8(text)
+    let text = String::from_utf8(bytes)
         .map_err(|_| TraceError::Corrupt("embedded program is not UTF-8".into()))?;
     let declared = match read_varint(r)? {
         0 => None,

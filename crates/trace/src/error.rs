@@ -24,6 +24,10 @@ pub enum TraceError {
     /// program, a non-monotonic sequence number, or a replacement program
     /// whose shape differs from the embedded one.
     Inconsistent(String),
+    /// Input past a decoder's declared bound: a program over
+    /// [`MAX_PROGRAM_INSTS`](crate::text::MAX_PROGRAM_INSTS) instructions,
+    /// or more program text than a decoder buffers before parsing.
+    TooLarge(String),
 }
 
 impl TraceError {
@@ -42,9 +46,9 @@ impl TraceError {
     /// the batch engine's retry policy re-attempts with rebuilt worker
     /// state. Everything else — malformed data (`Parse`, `Corrupt`),
     /// version mismatches (`Unsupported`), semantic mismatches
-    /// (`Inconsistent`), and I/O errors like `NotFound` or
-    /// `PermissionDenied` — is permanent: the same inputs will fail the
-    /// same way.
+    /// (`Inconsistent`), inputs past a bound (`TooLarge`), and I/O errors
+    /// like `NotFound` or `PermissionDenied` — is permanent: the same
+    /// inputs will fail the same way.
     pub fn is_transient(&self) -> bool {
         match self {
             TraceError::Io(e) => matches!(
@@ -64,6 +68,7 @@ impl fmt::Display for TraceError {
             TraceError::Corrupt(msg) => write!(f, "corrupt trace: {msg}"),
             TraceError::Unsupported(msg) => write!(f, "unsupported trace: {msg}"),
             TraceError::Inconsistent(msg) => write!(f, "inconsistent trace: {msg}"),
+            TraceError::TooLarge(msg) => write!(f, "trace input too large: {msg}"),
         }
     }
 }
@@ -138,5 +143,6 @@ mod tests {
         assert!(!TraceError::Corrupt("bad magic".into()).is_transient());
         assert!(!TraceError::Unsupported("v99".into()).is_transient());
         assert!(!TraceError::Inconsistent("seq".into()).is_transient());
+        assert!(!TraceError::TooLarge("program".into()).is_transient());
     }
 }

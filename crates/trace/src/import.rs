@@ -33,6 +33,8 @@
 //! instantiates dynamic behaviour, and the capture path persists the
 //! result.
 
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::Path;
 
 use virtclust_uarch::Program;
@@ -50,9 +52,20 @@ pub fn parse_kernel(input: &str) -> Result<Program> {
     text::parse_program_section(lines, true)
 }
 
-/// Read and parse a kernel file.
+/// Read and parse a kernel file. Reads at most the program-text bound
+/// of the trace decoders; a longer file is
+/// [`TraceError::TooLarge`](crate::TraceError::TooLarge).
 pub fn import_kernel_file(path: impl AsRef<Path>) -> Result<Program> {
-    parse_kernel(&std::fs::read_to_string(path)?)
+    let mut bytes = Vec::new();
+    File::open(path)?
+        .take(text::MAX_PROGRAM_BYTES + 1)
+        .read_to_end(&mut bytes)?;
+    if bytes.len() as u64 > text::MAX_PROGRAM_BYTES {
+        return Err(text::program_text_too_large());
+    }
+    let input =
+        String::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    parse_kernel(&input)
 }
 
 #[cfg(test)]
@@ -141,5 +154,24 @@ i br r3
         assert!(matches!(err, TraceError::Parse { line: 2, .. }), "{err}");
         assert!(parse_kernel("").is_err(), "empty kernel");
         assert!(parse_kernel("i ld r99 = r1\n").is_err(), "bad register");
+    }
+
+    #[test]
+    fn kernel_file_one_instruction_over_the_cap_is_too_large() {
+        let dir = std::env::temp_dir().join(format!("virtclust-kcap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.kernel");
+        let at_cap = "i alu r1 = r1 r2\n".repeat(text::MAX_PROGRAM_INSTS);
+        std::fs::write(&path, &at_cap).unwrap();
+        let p = import_kernel_file(&path).unwrap();
+        assert_eq!(p.static_len(), text::MAX_PROGRAM_INSTS);
+        std::fs::write(&path, at_cap + "i alu r1 = r1 r2\n").unwrap();
+        let err = import_kernel_file(&path).unwrap_err();
+        assert!(matches!(err, TraceError::TooLarge(_)), "{err}");
+        // Past the text bound the file is refused before parsing.
+        std::fs::write(&path, vec![b'#'; text::MAX_PROGRAM_BYTES as usize + 1]).unwrap();
+        let err = import_kernel_file(&path).unwrap_err();
+        assert!(matches!(err, TraceError::TooLarge(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! Streaming trace reader.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, Seek, SeekFrom};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
 use virtclust_uarch::{DynUop, Program, RewindError, TraceSource};
@@ -73,11 +73,22 @@ impl<R: BufRead + Seek> TraceReader<R> {
                 (text::parse_program_section(lines, false)?, declared)
             }
             Codec::Text => {
+                // The header and program section are buffered before they
+                // are parsed: read them through a window of the
+                // program-text bound, so an endless section ends there.
+                let mut head = (&mut r).take(text::MAX_PROGRAM_BYTES);
+                let end_of_head = |left: u64, what: &str| {
+                    if left == 0 {
+                        text::program_text_too_large()
+                    } else {
+                        TraceError::Corrupt(what.into())
+                    }
+                };
                 // Header line (leading blanks/comments tolerated for
                 // hand-edited files).
                 loop {
-                    let line = read_text_line(&mut r, &mut line_no)?.ok_or_else(|| {
-                        TraceError::Corrupt("empty input where a trace was expected".into())
+                    let line = read_text_line(&mut head, &mut line_no)?.ok_or_else(|| {
+                        end_of_head(head.limit(), "empty input where a trace was expected")
                     })?;
                     let trimmed = line.trim();
                     if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -90,8 +101,8 @@ impl<R: BufRead + Seek> TraceReader<R> {
                 let mut declared = None;
                 let mut section: Vec<(u64, String)> = Vec::new();
                 loop {
-                    let line = read_text_line(&mut r, &mut line_no)?.ok_or_else(|| {
-                        TraceError::Corrupt("trace ends before its `dyn` section".into())
+                    let line = read_text_line(&mut head, &mut line_no)?.ok_or_else(|| {
+                        end_of_head(head.limit(), "trace ends before its `dyn` section")
                     })?;
                     let trimmed = line.trim();
                     if trimmed == "dyn" {
@@ -572,5 +583,58 @@ mod tests {
         let uops = reader.read_all().unwrap();
         assert_eq!(uops.len(), 1);
         assert_eq!(uops[0].op, virtclust_uarch::OpClass::IntAlu);
+    }
+
+    /// A trace whose program is `insts` ALU instructions, with no records.
+    fn trace_with_program(insts: usize, codec: Codec) -> Vec<u8> {
+        let r = ArchReg::int;
+        let mut b = RegionBuilder::new(0, "wide");
+        for _ in 0..insts {
+            b = b.alu(r(1), &[r(1), r(2)]);
+        }
+        let mut p = Program::new("wide");
+        p.add_region(b.build());
+        let mut buf = Vec::new();
+        TraceWriter::new(&mut buf, &p, codec, None)
+            .unwrap()
+            .finish()
+            .unwrap();
+        buf
+    }
+
+    #[test]
+    fn text_trace_one_instruction_over_the_cap_is_too_large() {
+        let at_cap = trace_with_program(text::MAX_PROGRAM_INSTS, Codec::Text);
+        let reader = TraceReader::new(std::io::Cursor::new(&at_cap)).unwrap();
+        assert_eq!(reader.program().static_len(), text::MAX_PROGRAM_INSTS);
+        let over = trace_with_program(text::MAX_PROGRAM_INSTS + 1, Codec::Text);
+        let err = TraceReader::new(std::io::Cursor::new(&over)).err().unwrap();
+        assert!(matches!(err, TraceError::TooLarge(_)), "{err}");
+        // A section that never reaches `dyn` stops at the text bound.
+        let mut endless = format!("{}\nprogram p\n", text::header_line()).into_bytes();
+        endless.resize(text::MAX_PROGRAM_BYTES as usize + 1, b'#');
+        let err = TraceReader::new(std::io::Cursor::new(&endless))
+            .err()
+            .unwrap();
+        assert!(matches!(err, TraceError::TooLarge(_)), "{err}");
+    }
+
+    #[test]
+    fn binary_trace_one_instruction_over_the_cap_is_too_large() {
+        let at_cap = trace_with_program(text::MAX_PROGRAM_INSTS, Codec::Binary);
+        let reader = TraceReader::new(std::io::Cursor::new(&at_cap)).unwrap();
+        assert_eq!(reader.program().static_len(), text::MAX_PROGRAM_INSTS);
+        let over = trace_with_program(text::MAX_PROGRAM_INSTS + 1, Codec::Binary);
+        let err = TraceReader::new(std::io::Cursor::new(&over)).err().unwrap();
+        assert!(matches!(err, TraceError::TooLarge(_)), "{err}");
+        // Program text past the bound is refused once the bound is read.
+        let mut claim = binary::BINARY_MAGIC.to_vec();
+        claim.push(crate::FORMAT_VERSION as u8);
+        binary::write_varint(&mut claim, 1 << 40).unwrap();
+        claim.resize(claim.len() + text::MAX_PROGRAM_BYTES as usize + 1, b'#');
+        let err = TraceReader::new(std::io::Cursor::new(&claim))
+            .err()
+            .unwrap();
+        assert!(matches!(err, TraceError::TooLarge(_)), "{err}");
     }
 }

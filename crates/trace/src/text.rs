@@ -226,6 +226,23 @@ fn parse_inst(line_no: u64, toks: &[&str]) -> Result<StaticInst> {
     })
 }
 
+/// Most static instructions a decoded program may hold. Kernel files,
+/// `.vct` and `.vctb` traces all parse their program through
+/// [`parse_program_section`], which returns [`TraceError::TooLarge`] past
+/// it. The largest suite program has 1 588 instructions, so the cap
+/// leaves ten times that room for client kernels and captures.
+pub const MAX_PROGRAM_INSTS: usize = 16_384;
+
+/// Most bytes of program text a decoder buffers before parsing it: 256
+/// per instruction under [`MAX_PROGRAM_INSTS`] (4 MiB), room for hints,
+/// comments and blank lines.
+pub(crate) const MAX_PROGRAM_BYTES: u64 = 256 * MAX_PROGRAM_INSTS as u64;
+
+/// The error for program text past [`MAX_PROGRAM_BYTES`].
+pub(crate) fn program_text_too_large() -> TraceError {
+    TraceError::TooLarge(format!("program text exceeds {MAX_PROGRAM_BYTES} bytes"))
+}
+
 /// Parse a program section from `(line_no, line)` pairs.
 ///
 /// In strict mode (the trace reader) a `program` line must come first and
@@ -233,6 +250,8 @@ fn parse_inst(line_no: u64, toks: &[&str]) -> Result<StaticInst> {
 /// lenient mode (the kernel importer) both are optional: a nameless program
 /// is called `imported`, instructions before any `region` line open an
 /// implicit region `kernel`, and `region <name>` lines get sequential ids.
+/// A program over [`MAX_PROGRAM_INSTS`] instructions is
+/// [`TraceError::TooLarge`].
 pub fn parse_program_section<'a, I>(lines: I, lenient: bool) -> Result<Program>
 where
     I: IntoIterator<Item = (u64, &'a str)>,
@@ -240,6 +259,7 @@ where
     let mut program: Option<Program> = None;
     let mut current: Option<Region> = None;
     let mut saw_program_line = false;
+    let mut insts = 0usize;
     for (line_no, raw) in lines {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -293,6 +313,12 @@ where
                 current = Some(Region::new(expected_id, name));
             }
             "i" => {
+                insts += 1;
+                if insts > MAX_PROGRAM_INSTS {
+                    return Err(TraceError::TooLarge(format!(
+                        "line {line_no}: program exceeds {MAX_PROGRAM_INSTS} instructions"
+                    )));
+                }
                 let inst = parse_inst(line_no, &toks[1..])?;
                 match &mut current {
                     Some(region) => {

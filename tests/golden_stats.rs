@@ -174,15 +174,14 @@ fn expected_cell(full: &str, header: &str) -> String {
     rest[..end].trim().to_string()
 }
 
-/// PR 8 pins, doubled: the epoch-batched dispatch plan and the pure-view
-/// `StaticFollow` changed *which* cycles OB and RHOP may replicate
-/// arithmetically (policy-stall epochs are now skippable for them), so
-/// the busy-heavy 8-cluster gzip-1 cells of exactly those schemes are
-/// re-run here in **both cover modes** — skipping forced off (every
-/// cycle stepped through the real stage bodies) and forced on — and both
-/// must serialize bit-for-bit to the committed snapshot cell. A
-/// divergence in the skip=true leg with a clean skip=false leg convicts
-/// the replication machinery specifically.
+/// Pins, doubled: the pure-view `StaticFollow` changed *which* cycles
+/// OB and RHOP may replicate arithmetically (policy-stall epochs are
+/// skippable for them), so the busy-heavy 8-cluster gzip-1 cells
+/// of exactly those schemes are re-run here in **both cover modes** —
+/// skipping forced off (every cycle stepped through the real stage
+/// bodies) and forced on — and both must serialize bit-for-bit to the
+/// committed snapshot cell. A divergence in the skip=true leg with a
+/// clean skip=false leg convicts the replication machinery specifically.
 #[test]
 fn gzip1_8cluster_ob_rhop_pin_in_both_cover_modes() {
     let points = spec2000_points();

@@ -1,13 +1,13 @@
-//! Targeted invalidation-edge tests for the epoch-batched dispatch plan
-//! (the PR 8 tentpole): a [`SimSession`] memoizes a *pure* policy's
-//! stall classification for the stalled front micro-op and replays it
-//! until a generation-tracked input changes. Each test constructs a
-//! workload that forces one specific invalidation edge mid-epoch, then
-//! pins bit-identity against the per-cycle oracle (the same policy
-//! behind an impurity shim, which disables the memo entirely) while
+//! Edge tests for stalled dispatch under a *pure* policy. A
+//! [`SimSession`] may skip a pure policy's dispatch-stall spans, steering
+//! the stalled front micro-op once per stale location epoch instead of
+//! once per cycle; an impure policy is re-steered every cycle. Each test
+//! builds a workload that changes the stall's inputs mid-epoch (an issue
+//! drain flipping a busy bit, a mispredict squash, an observer boundary)
+//! and pins a pure policy against its [`ImpureShim`] twin bit for bit,
 //! asserting — via the stats — that the edge actually fired. In debug
-//! builds (how `cargo test` runs this) the in-session plan mirror
-//! additionally recomputes every consumed memo from scratch.
+//! builds (how `cargo test` runs this) every skipped span is also
+//! single-stepped and compared.
 
 use virtclust::core::Configuration;
 use virtclust::obs::{MemSink, Shared};
@@ -17,8 +17,8 @@ use virtclust::uarch::{
 };
 
 /// Delegates decisions but keeps the trait-default `steer_is_pure() ==
-/// false`: the session then takes the plain per-cycle path (no dispatch
-/// plan, no policy-dependent idle spans), which is the oracle the memo
+/// false`: the session then re-steers every stalled cycle (no
+/// policy-dependent idle spans), which is the oracle the pure policy
 /// must match bit for bit.
 struct ImpureShim(Box<dyn SteeringPolicy>);
 impl SteeringPolicy for ImpureShim {
@@ -37,11 +37,11 @@ fn r(i: u8) -> ArchReg {
     ArchReg::int(i)
 }
 
-/// Stall cycles of the kinds the dispatch plan memoizes: the post-policy
+/// Stall cycles whose outcome depends on the steer: the post-policy
 /// outcomes (policy stall, IQ/RF/copy-queue full). OP's stall-over-steer
 /// reports a tiny issue queue as `PolicyStall` (the occupancy threshold
 /// trips before the queue literally fills); StaticFollow schemes report
-/// `IqFull` — either way the epoch is plan-covered.
+/// `IqFull` — either way a pure policy may skip the epoch.
 fn post_policy_stalls(stats: &SimStats) -> u64 {
     use virtclust::sim::StallReason as R;
     [R::PolicyStall, R::IqFull, R::RfFull, R::CopyQueueFull]
@@ -71,11 +71,11 @@ fn expand(region: &Region, iters: usize, mispredict_every: u64) -> Vec<DynUop> {
     uops
 }
 
-/// Run one cell twice — memoized (pure policy as-is) and per-cycle
-/// (behind [`ImpureShim`]) — on fresh sessions and assert full
-/// `SimStats` equality, returning the stats for edge-specific asserts.
-fn memo_vs_per_cycle(machine: &MachineConfig, config: Configuration, uops: &[DynUop]) -> SimStats {
-    let memo = {
+/// Run one cell twice — pure policy as-is and per-cycle (behind
+/// [`ImpureShim`]) — on fresh sessions and assert full `SimStats`
+/// equality, returning the stats for edge-specific asserts.
+fn pure_vs_per_cycle(machine: &MachineConfig, config: Configuration, uops: &[DynUop]) -> SimStats {
+    let pure = {
         let mut session = SimSession::new(machine);
         let mut trace = SliceTrace::new(uops);
         let mut policy = config.make_policy();
@@ -93,10 +93,10 @@ fn memo_vs_per_cycle(machine: &MachineConfig, config: Configuration, uops: &[Dyn
         session.simulate(machine, &mut trace, &mut policy, &RunLimits::unlimited())
     };
     assert_eq!(
-        memo, plain,
-        "memoized dispatch diverged from per-cycle re-derivation"
+        pure, plain,
+        "pure-policy dispatch diverged from per-cycle re-derivation"
     );
-    memo
+    pure
 }
 
 /// Compile `region` for `config` on `machine` (the software schemes need
@@ -110,13 +110,12 @@ fn compile(region: Region, config: Configuration, machine: &MachineConfig) -> Re
     program.regions.remove(0)
 }
 
-/// A busy-bit flip mid-epoch must invalidate the plan: dispatch stalls
-/// on a full issue queue (a post-policy outcome the memo covers), then
-/// issue drains an entry — flipping the occupancy summary's busy bit and
-/// bumping `sum_gen` — and the very next dispatch decision must be
-/// re-derived, not replayed. A long serial dependence chain into a tiny
-/// IQ makes the queue fill (nothing issues while the chain head
-/// executes) and drain one entry at a time.
+/// A busy-bit flip mid-epoch must end the stall: dispatch stalls on a
+/// full issue queue (a post-policy outcome), then issue drains an entry —
+/// flipping the occupancy summary's busy bit — and the very next dispatch
+/// decision must see it. A long serial dependence chain into a tiny IQ
+/// makes the queue fill (nothing issues while the chain head executes)
+/// and drain one entry at a time.
 #[test]
 fn busy_bit_flip_mid_epoch_invalidates_plan() {
     let machine = MachineConfig {
@@ -132,10 +131,10 @@ fn busy_bit_flip_mid_epoch_invalidates_plan() {
     for config in [Configuration::Op, Configuration::Ob, Configuration::Rhop] {
         let compiled = compile(region.clone(), config, &machine);
         let uops = expand(&compiled, 4, 0);
-        let stats = memo_vs_per_cycle(&machine, config, &uops);
+        let stats = pure_vs_per_cycle(&machine, config, &uops);
         assert!(
             post_policy_stalls(&stats) > 0,
-            "{:?}: workload must hit post-policy stalls (the memoized kinds) \
+            "{:?}: workload must hit post-policy stalls (the skippable kinds) \
              to exercise the edge",
             config
         );
@@ -143,12 +142,12 @@ fn busy_bit_flip_mid_epoch_invalidates_plan() {
     }
 }
 
-/// A branch-mispredict squash while a plan memo is live must discard it
-/// with the squashed micro-ops: the post-squash front micro-op has a
-/// different sequence number, so replaying the stalled predecessor's
-/// memo would classify the wrong micro-op. Mispredicted branches are
-/// interleaved with the same IQ-filling serial chain so squashes land
-/// while dispatch is stalled mid-plan.
+/// A branch-mispredict squash while dispatch is stalled must leave no
+/// trace of the stalled micro-op: the post-squash front micro-op has a
+/// different sequence number, and a pure policy's answer for the stalled
+/// predecessor must not leak into its classification. Mispredicted
+/// branches are interleaved with the same IQ-filling serial chain so
+/// squashes land while dispatch is stalled.
 #[test]
 fn squash_mid_plan_discards_the_memo() {
     let machine = MachineConfig {
@@ -163,7 +162,7 @@ fn squash_mid_plan_discards_the_memo() {
     for config in [Configuration::Op, Configuration::Ob, Configuration::Rhop] {
         let compiled = compile(region.clone(), config, &machine);
         let uops = expand(&compiled, 6, 2); // every 2nd branch mispredicts
-        let stats = memo_vs_per_cycle(&machine, config, &uops);
+        let stats = pure_vs_per_cycle(&machine, config, &uops);
         assert!(
             stats.mispredicts > 0,
             "{:?}: workload must squash to exercise the edge",
@@ -171,17 +170,17 @@ fn squash_mid_plan_discards_the_memo() {
         );
         assert!(
             stats.dispatch_stalls.iter().sum::<u64>() > 0,
-            "{:?}: workload must stall dispatch to have a live plan",
+            "{:?}: workload must stall dispatch to exercise the edge",
             config
         );
     }
 }
 
-/// An interval-observer boundary landing inside a memoized epoch must
-/// not perturb the plan (the observer is a pure reader): with a 16-cycle
+/// An interval-observer boundary landing inside a stall epoch must not
+/// perturb dispatch (the observer is a pure reader): with a 16-cycle
 /// interval, boundaries fall inside IQ-full stall epochs, and both the
 /// final stats and the emitted interval deltas must be bit-identical to
-/// the unmemoized run.
+/// the per-cycle run.
 #[test]
 fn observer_boundary_inside_epoch_is_unperturbed() {
     let machine = MachineConfig {
@@ -207,21 +206,21 @@ fn observer_boundary_inside_epoch_is_unperturbed() {
         let intervals = handle.with(|sink| sink.intervals.clone());
         (stats, intervals)
     };
-    let (memo_stats, memo_intervals) = run(config.make_policy().as_mut());
+    let (pure_stats, pure_intervals) = run(config.make_policy().as_mut());
     let (plain_stats, plain_intervals) = run(&mut ImpureShim(config.make_policy()));
-    assert_eq!(memo_stats, plain_stats, "observed stats diverged");
+    assert_eq!(pure_stats, plain_stats, "observed stats diverged");
     assert_eq!(
-        memo_intervals.len(),
+        pure_intervals.len(),
         plain_intervals.len(),
         "interval streams diverged in length"
     );
-    for (m, p) in memo_intervals.iter().zip(&plain_intervals) {
+    for (m, p) in pure_intervals.iter().zip(&plain_intervals) {
         assert_eq!(m.start_cycle, p.start_cycle);
         assert_eq!(m.end_cycle, p.end_cycle);
         assert_eq!(m.delta, p.delta, "interval delta diverged");
     }
     assert!(
-        post_policy_stalls(&memo_stats) > 0,
+        post_policy_stalls(&pure_stats) > 0,
         "workload must hit post-policy stalls so boundaries land inside epochs"
     );
 }

@@ -638,10 +638,10 @@ proptest! {
 
 /// Hides the inner policy's purity declaration: decisions delegate, but
 /// `steer_is_pure` keeps the trait default `false`, forcing the session
-/// onto the per-cycle re-steer path — no epoch-batched dispatch plan, no
-/// policy-dependent idle spans. For a genuinely pure policy the elided
-/// and extra calls are unobservable by the purity contract, so routing
-/// the same policy through the shim must not change a single statistic.
+/// onto the per-cycle re-steer path — no policy-dependent idle spans. For
+/// a genuinely pure policy the elided and extra calls are unobservable by
+/// the purity contract, so routing the same policy through the shim must
+/// not change a single statistic.
 struct ImpureShim(Box<dyn SteeringPolicy>);
 impl SteeringPolicy for ImpureShim {
     fn name(&self) -> String {
@@ -657,8 +657,8 @@ impl SteeringPolicy for ImpureShim {
 
 proptest! {
     // Each case simulates 8 schemes × 3 machines × skip on/off, twice
-    // per cell (memoized vs shimmed) — keep the case count low and let
-    // the debug-build plan mirror do the per-cycle heavy lifting.
+    // per cell (pure vs shimmed) — keep the case count low and let the
+    // debug-build skip mirror do the per-cycle heavy lifting.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
@@ -667,16 +667,15 @@ proptest! {
         hints in prop::collection::vec(hint_strategy(), 28..29),
         iters in 1usize..4,
     ) {
-        // The dispatch-plan memo replays a pure policy's stall
-        // classification across the cycles of an epoch instead of
-        // re-deriving it. Differential oracle: the same scheme behind
-        // `ImpureShim` takes the plain per-cycle path (memo and
-        // policy-span skipping are keyed on `steer_is_pure`), so full
-        // `SimStats` equality pins the batching to pure elision — across
-        // every Table 3 scheme plus the ablations, 2/4/8 clusters,
-        // cycle skipping forced on and off, and fresh vs reused sessions
-        // (the reused pair also proves plan state cannot leak between
-        // runs through `reset`).
+        // The idle-span probe classifies a pure policy's stall once per
+        // stale epoch and skips the span instead of re-steering every
+        // cycle. Differential oracle: the same scheme behind `ImpureShim`
+        // takes the plain per-cycle path (policy-span skipping is keyed
+        // on `steer_is_pure`), so full `SimStats` equality pins the
+        // batching to pure elision — across every Table 3 scheme plus
+        // the ablations, 2/4/8 clusters, cycle skipping forced on and
+        // off, and fresh vs reused sessions (the reused pair also proves
+        // no dispatch state leaks between runs through `reset`).
         let mut region = region;
         for (inst, hint) in region.insts.iter_mut().zip(hints) {
             inst.hint = hint;
@@ -691,7 +690,7 @@ proptest! {
             Configuration::ModN { slice: 3 },
             Configuration::OpNoStall,
         ];
-        let mut memo_session = SimSession::new(&MachineConfig::default());
+        let mut pure_session = SimSession::new(&MachineConfig::default());
         let mut plain_session = SimSession::new(&MachineConfig::default());
         for clusters in [2usize, 4, 8] {
             let machine = MachineConfig::default().with_clusters(clusters);
@@ -703,9 +702,9 @@ proptest! {
                     .apply(&mut program, &machine.latencies);
                 let uops = expand(&program.regions[0], iters);
                 for skip in [true, false] {
-                    memo_session.set_cycle_skipping(skip);
+                    pure_session.set_cycle_skipping(skip);
                     plain_session.set_cycle_skipping(skip);
-                    let fresh_memo = {
+                    let fresh_pure = {
                         let mut session = SimSession::new(&machine);
                         session.set_cycle_skipping(skip);
                         let mut trace = SliceTrace::new(&uops);
@@ -723,10 +722,10 @@ proptest! {
                             &machine, &mut trace, &mut policy, &RunLimits::unlimited(),
                         )
                     };
-                    let reused_memo = {
+                    let reused_pure = {
                         let mut trace = SliceTrace::new(&uops);
                         let mut policy = config.make_policy();
-                        memo_session.simulate(
+                        pure_session.simulate(
                             &machine, &mut trace, policy.as_mut(), &RunLimits::unlimited(),
                         )
                     };
@@ -738,17 +737,17 @@ proptest! {
                         )
                     };
                     prop_assert_eq!(
-                        &fresh_memo, &fresh_plain,
-                        "fresh memo vs per-cycle: {} on {} clusters, skip={}",
+                        &fresh_pure, &fresh_plain,
+                        "fresh pure vs per-cycle: {} on {} clusters, skip={}",
                         config.name(clusters as u32), clusters, skip
                     );
                     prop_assert_eq!(
-                        &reused_memo, &reused_plain,
-                        "reused memo vs per-cycle: {} on {} clusters, skip={}",
+                        &reused_pure, &reused_plain,
+                        "reused pure vs per-cycle: {} on {} clusters, skip={}",
                         config.name(clusters as u32), clusters, skip
                     );
                     prop_assert_eq!(
-                        &fresh_memo, &reused_memo,
+                        &fresh_pure, &reused_pure,
                         "fresh vs reused: {} on {} clusters, skip={}",
                         config.name(clusters as u32), clusters, skip
                     );
