@@ -11,11 +11,11 @@
 //!
 //! * each worker owns one [`SimSession`], reset — not reallocated — per
 //!   cell;
-//! * each drain shares one compile cache across its workers, so a suite
-//!   point's program is built once and a configuration's compiler pass
-//!   runs once per (program, configuration) key: later jobs reuse the
-//!   pass's steering hints, and a repeated suite-point job reuses the
-//!   finished stats of its first run (bounded, cleared when full; see
+//! * each drain shares one compile cache across its workers: a repeated
+//!   suite-point job reuses the finished stats of its first run, and a
+//!   kernel or trace program's compiler pass runs once per (program,
+//!   configuration) key, later jobs reusing the pass's steering hints
+//!   (both bounded, cleared when full; see
 //!   [`drain_source`](EvalDriver::drain_source));
 //! * each worker caches up to 32 open [`TraceReader`]s, so a `.vct`/`.vctb`
 //!   file is parsed once and then [`rewound`](TraceReader::rewind) per
@@ -44,10 +44,10 @@
 //!   can poison nothing. A panicking `on_cell` callback is caught too and
 //!   the first one is resurfaced exactly once after all workers join.
 //! * **Bounded retries** — [`run_resilient`](EvalDriver::run_resilient)
-//!   takes a [`RetryPolicy`]; transient errors (and optionally panics)
-//!   re-attempt after a full worker-state rebuild, so a retried success
-//!   is bit-identical to a fault-free run (the session bit-identity
-//!   contract: a rebuilt worker *is* a fresh machine).
+//!   takes a retry budget ([`ResilientOptions::retries`]); transient
+//!   errors re-attempt after a full worker-state rebuild, so a retried
+//!   success is bit-identical to a fault-free run (the session
+//!   bit-identity contract: a rebuilt worker *is* a fresh machine).
 //! * **Deadlines and cancellation** — per-job wall-clock deadlines and a
 //!   batch-level [`CancelToken`] ride the cooperative interrupt checks
 //!   inside [`SimSession`]'s run loop (one relaxed load per
@@ -101,8 +101,8 @@ use virtclust_trace::{TraceError, TraceReader};
 use virtclust_uarch::{MachineConfig, Program};
 use virtclust_workloads::{KernelParams, TraceExpander, TracePoint};
 
-use crate::compile::{CompileCache, RunKey, Source};
-use crate::experiment::Configuration;
+use crate::compile::{CompileCache, RunKey};
+use crate::experiment::{run_point_on, Configuration};
 use crate::fault;
 
 /// One unit of work for the [`EvalDriver`]: a workload crossed with a
@@ -179,7 +179,7 @@ impl EvalJob {
     }
 }
 
-/// A pull-based job intake: workers call [`pull`](JobSource::pull)
+/// A pull-based job intake: workers call [`pull`](Self::pull)
 /// concurrently until it returns `None`, which ends the drain (a source
 /// is drained once, not polled again). The slice entry points use an
 /// internal atomic-cursor source over `&[EvalJob]`; a service front end
@@ -260,11 +260,10 @@ impl JobSource for SliceSource<'_> {
     }
 }
 
-/// Why a job failed. The taxonomy drives the [`RetryPolicy`]: trace
-/// errors split transient-vs-permanent via [`TraceError::is_transient`],
-/// panics are retryable only if explicitly opted into, and
-/// deadline/cancellation outcomes are never retried (the budget or the
-/// caller already decided).
+/// Why a job failed. The taxonomy drives retries
+/// ([`is_transient`](JobError::is_transient)): trace errors split
+/// transient-vs-permanent via [`TraceError::is_transient`], and panics,
+/// deadlines and cancellations are never retried.
 #[derive(Debug)]
 pub enum JobError {
     /// The trace layer failed (open, parse, rewind, program swap, or an
@@ -289,10 +288,10 @@ pub enum JobError {
 }
 
 impl JobError {
-    /// Whether retrying could plausibly succeed (used by the default
-    /// [`RetryPolicy`]): transient trace errors only. Panics are opt-in
-    /// via [`RetryPolicy::retry_panics`]; deadline and cancellation are
-    /// final by definition.
+    /// Whether retrying could plausibly succeed, the rule every retry
+    /// follows: transient trace errors only. A panic is a bug, and
+    /// retrying one would hide it; deadline and cancellation are final by
+    /// definition (the budget or the caller already decided).
     pub fn is_transient(&self) -> bool {
         match self {
             JobError::Trace(e) => e.is_transient(),
@@ -329,44 +328,17 @@ impl From<TraceError> for JobError {
     }
 }
 
-/// Bounded retry policy for [`EvalDriver::run_resilient`]. An error is
-/// retried while the attempt count is within budget **and** the error
-/// class qualifies: transient trace errors always qualify, panics only
-/// with [`retry_panics`](RetryPolicy::retry_panics), permanent trace
-/// errors, deadlines and cancellations never. Every retry rebuilds the
-/// worker's state (fresh session, dropped trace cache) so a retried
-/// success is bit-identical to a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum *re*-attempts per job (0 = first failure is final).
-    pub max_retries: u32,
-    /// Also retry jobs that panicked (after quarantine). Off by default:
-    /// a panic is a bug, and retrying one hides it unless the caller
-    /// explicitly wants availability over signal.
-    pub retry_panics: bool,
-}
-
-impl RetryPolicy {
-    /// Whether to retry after `err`, given `attempts` attempts already
-    /// made.
-    pub fn should_retry(&self, err: &JobError, attempts: u32) -> bool {
-        if attempts > self.max_retries {
-            return false;
-        }
-        match err {
-            JobError::Trace(e) => e.is_transient(),
-            JobError::Panicked { .. } => self.retry_panics,
-            JobError::DeadlineExceeded { .. } | JobError::Cancelled => false,
-        }
-    }
-}
-
 /// Options for [`EvalDriver::run_resilient`]: retry budget, per-job
 /// wall-clock deadline, and an optional cancellation source.
 #[derive(Debug, Clone, Default)]
 pub struct ResilientOptions {
-    /// Retry policy (default: no retries).
-    pub retry: RetryPolicy,
+    /// Maximum *re*-attempts per job (default 0: the first failure is
+    /// final). A job retries exactly when it has made at most `retries`
+    /// attempts and its error [is transient](JobError::is_transient).
+    /// Every retry rebuilds the worker's state (fresh session, dropped
+    /// trace cache), so a retried success is bit-identical to a
+    /// fault-free run.
+    pub retries: u32,
     /// Per-job wall-clock budget, covering all of the job's attempts.
     /// `None` = no deadline.
     pub deadline: Option<Duration>,
@@ -387,14 +359,7 @@ impl ResilientOptions {
     /// Retry transient failures up to `n` times per job.
     #[must_use]
     pub fn retries(mut self, n: u32) -> Self {
-        self.retry.max_retries = n;
-        self
-    }
-
-    /// Also retry panicked jobs (see [`RetryPolicy::retry_panics`]).
-    #[must_use]
-    pub fn retry_panics(mut self, yes: bool) -> Self {
-        self.retry.retry_panics = yes;
+        self.retries = n;
         self
     }
 
@@ -669,26 +634,26 @@ impl EvalDriver {
     }
 
     /// Drain a pull-based [`JobSource`] to completion: spawn the worker
-    /// pool, have every worker [`pull`](JobSource::pull) until the source
+    /// pool, have every worker pull from `source` until the source
     /// returns `None`, and deliver each finished job to `on_done` from
     /// the worker thread that ran it. This is **the** drain loop — the
     /// slice entry points run through it via an internal cursor source,
     /// and the evaluation service points its scheduler at it directly.
     ///
-    /// The workers share one compile cache for the length of the call:
-    /// each suite point's program is built once, and each configuration's
-    /// compiler pass runs once per (point or program content,
+    /// The workers share one compile cache for the length of the call. It
+    /// keeps the stats of every point job that finished with no error and
+    /// no stop cause (about 0.5 KiB each, 256 at most, cleared when full),
+    /// so a repeat of the same point, `trace_seed`, configuration and
+    /// budget is answered without simulating; a miss is
+    /// [`crate::run_point_on`] on the worker's session. Kernel and trace
+    /// jobs always simulate: their key would be client content (a program
+    /// to hash per job and keep in memory, trace bytes the drain never
+    /// reads twice). Their compiler pass runs once per (program content,
     /// configuration) key, after which jobs run the hint-free program with
-    /// the cached steering hints. The cache also keeps the stats of every
-    /// point job that finished with no error and no stop cause (about
-    /// 0.5 KiB each, 256 at most, cleared when full), so a repeat of the
-    /// same point, `trace_seed`, configuration and budget is answered
-    /// without simulating. Kernel and trace jobs always simulate: their
-    /// key would be client content (a program to hash per job and keep in
-    /// memory, trace bytes the drain never reads twice). Outcomes are
-    /// bit-identical to the uncached [`crate::run_point`] and
-    /// [`crate::replay_trace`]. A service drains once for its whole life,
-    /// so there both the pass and a point's simulation become once-per-key
+    /// the cached steering hints. Outcomes are bit-identical to the
+    /// uncached [`crate::run_point`] and [`crate::replay_trace`]. A
+    /// service drains once for its whole life, so there a point's
+    /// simulation and a kernel's or trace's pass become once-per-key
     /// costs.
     ///
     /// Per-job interrupt overrides on the [`SourcedJob`] compose with
@@ -732,7 +697,7 @@ impl EvalDriver {
                         let (outcome, tally) = run_one(
                             &mut worker,
                             sourced.job.as_ref(),
-                            &opts.retry,
+                            opts.retries,
                             token,
                             deadline,
                             batch_cancelled,
@@ -875,7 +840,7 @@ impl EvalDriver {
 fn run_one(
     worker: &mut Worker<'_>,
     job: &EvalJob,
-    retry: &RetryPolicy,
+    retries: u32,
     token: Option<&CancelToken>,
     deadline: Option<Duration>,
     batch_cancelled: bool,
@@ -916,7 +881,8 @@ fn run_one(
             JobError::Trace(e) if e.is_transient() => tally.transient += 1,
             _ => {}
         }
-        let retry = retry.should_retry(&err, tally.attempts)
+        let retry = tally.attempts <= retries
+            && err.is_transient()
             && !token.is_some_and(CancelToken::is_cancelled)
             && deadline.is_none_or(|d| Instant::now() < d);
         if !retry {
@@ -1035,11 +1001,13 @@ impl<'m> Worker<'m> {
         }
     }
 
-    /// Run one job: its hint-free program with the configuration's cached
-    /// hints, exactly what `run_point`, `replay_trace` or a hand-annotated
-    /// expander run would simulate. A point job whose key already finished
-    /// in this drain returns the kept stats without simulating; `run_job`
-    /// has fired `job.run` and armed the interrupts by then.
+    /// Run one job. A point job whose key already finished in this drain
+    /// returns the kept stats without simulating (`run_job` has fired
+    /// `job.run` and armed the interrupts by then); a miss is
+    /// `run_point_on` on this worker's session. Kernel and trace jobs run
+    /// their hint-free program with the configuration's cached hints,
+    /// exactly what a hand-annotated expander run or `replay_trace` would
+    /// simulate.
     fn dispatch(&mut self, job: &EvalJob) -> Result<SimStats, TraceError> {
         let (machine, compiled) = (self.machine, self.compiled);
         match job {
@@ -1052,17 +1020,7 @@ impl<'m> Worker<'m> {
                 if let Some(stats) = compiled.result(&run) {
                     return Ok(stats);
                 }
-                let base = compiled.point_program(&run.point, point);
-                let program =
-                    compiled.annotate(|| Source::Point(run.point.clone()), &base, config, machine);
-                let mut trace = point.expander(&program);
-                let mut policy = config.make_policy();
-                let stats = self.session.simulate(
-                    machine,
-                    &mut trace,
-                    policy.as_mut(),
-                    &RunLimits::uops(*uops),
-                );
+                let stats = run_point_on(&mut self.session, point, config, machine, *uops);
                 if self.session.stop_cause().is_none() {
                     compiled.keep_result(run, &stats);
                 }
@@ -1078,12 +1036,8 @@ impl<'m> Worker<'m> {
                 let mut base = program.clone();
                 base.clear_hints();
                 let base = Arc::new(base);
-                let program = compiled.annotate(
-                    || Source::program(compiled.content_hash(&base), Arc::clone(&base)),
-                    &base,
-                    config,
-                    machine,
-                );
+                let program =
+                    compiled.annotate(|| compiled.content_hash(&base), &base, config, machine);
                 let mut trace = TraceExpander::new(&program, params, *seed);
                 let mut policy = config.make_policy();
                 Ok(self.session.simulate(
@@ -1123,10 +1077,7 @@ impl<'m> Worker<'m> {
                     hash,
                 } = cached;
                 let program = compiled.annotate(
-                    || {
-                        let hash = *hash.get_or_insert_with(|| compiled.content_hash(pristine));
-                        Source::program(hash, Arc::clone(pristine))
-                    },
+                    || *hash.get_or_insert_with(|| compiled.content_hash(pristine)),
                     pristine,
                     config,
                     machine,

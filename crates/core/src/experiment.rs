@@ -137,12 +137,11 @@ pub fn run_point(
     run_point_on(&mut SimSession::new(machine), point, config, machine, uops)
 }
 
-/// [`run_point`] on a caller-provided session: the uncached reference for
-/// a point cell. It builds the program and runs the pass on every call;
-/// the batch engine runs the same steps once per key in a drain and
-/// reuses them, and its tests hold the two bit-identical.
-/// `run_point` is this over a fresh session, and sessions are
-/// bit-identical to fresh machines by contract.
+/// [`run_point`] on a caller-provided session: the one point path. It
+/// builds the program and runs the pass on every call; the batch engine
+/// runs it on a result-table miss and answers a repeat of the same key
+/// from that table. `run_point` is this over a fresh session, and
+/// sessions are bit-identical to fresh machines by contract.
 pub fn run_point_on(
     session: &mut SimSession,
     point: &TracePoint,

@@ -85,17 +85,7 @@ pub fn replay_trace(
     limits: &RunLimits,
 ) -> Result<SimStats> {
     crate::fault::fire(crate::fault::TRACE_OPEN)?;
-    replay_reader(TraceReader::open(path)?, config, machine, limits)
-}
-
-/// [`replay_trace`] over an already-open reader (any seekable byte
-/// source).
-pub fn replay_reader<R: BufRead + Seek>(
-    reader: TraceReader<R>,
-    config: &Configuration,
-    machine: &MachineConfig,
-    limits: &RunLimits,
-) -> Result<SimStats> {
+    let reader = TraceReader::open(path)?;
     replay_on(
         &mut SimSession::new(machine),
         reader,
@@ -126,7 +116,7 @@ pub fn replay_trace_observed(
     replay_on(&mut session, reader, config, machine, limits)
 }
 
-/// [`replay_reader`] on a caller-provided session, the one replay body:
+/// [`replay_trace`] on a caller-provided session, the one replay body:
 /// re-annotate the trace's program for `config` through the same
 /// [`run_pass`] that [`run_point`] applies to a freshly generated program,
 /// then simulate the stored stream.

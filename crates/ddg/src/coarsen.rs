@@ -75,12 +75,6 @@ impl WGraph {
         self.node_w[i as usize]
     }
 
-    /// All node weights.
-    #[inline]
-    pub fn node_weights(&self) -> &[f64] {
-        &self.node_w
-    }
-
     /// Neighbours of `i` with edge weights.
     #[inline]
     pub fn neighbors(&self, i: u32) -> &[(u32, f64)] {

@@ -26,4 +26,4 @@ pub mod sink;
 
 pub use chrome::ChromeTrace;
 pub use metrics::{Counter, Gauge, Log2Hist, SharedCounter};
-pub use sink::{IntervalSample, MemSink, NullSink, ObsSink, Shared, SkipSpan};
+pub use sink::{IntervalSample, MemSink, ObsSink, Shared, SkipSpan};

@@ -70,13 +70,6 @@ pub trait ObsSink<D> {
     }
 }
 
-/// A sink that drops everything. Useful as a placeholder and for measuring
-/// pure observer-attachment overhead.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl<D> ObsSink<D> for NullSink {}
-
 /// A sink that records everything in memory, for tests and offline export.
 #[derive(Debug, Clone)]
 pub struct MemSink<D> {
@@ -212,12 +205,5 @@ mod tests {
         observer.on_finish(&1, 10);
         assert_eq!(handle.with(|s| s.intervals.len()), 1);
         assert_eq!(handle.with(|s| s.finished), Some((1, 10)));
-    }
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut s = NullSink;
-        ObsSink::<u64>::on_interval(&mut s, &sample(0));
-        ObsSink::<u64>::on_finish(&mut s, &0, 0);
     }
 }

@@ -130,11 +130,6 @@ impl Cache {
             lru: self.stamp,
         };
     }
-
-    /// Number of sets (diagnostics).
-    pub fn num_sets(&self) -> usize {
-        self.sets
-    }
 }
 
 /// The full load path: L1 → L2 → memory, with per-cycle L1 port arbitration.

@@ -1,8 +1,8 @@
 //! # virtclust-svc
 //!
 //! An always-on evaluation service over the batch engine: jobs arrive
-//! through a Unix/TCP socket or an in-process channel *while the worker
-//! pool drains*, instead of as one pre-built `Vec` handed to
+//! through a Unix/TCP socket *while the worker pool drains*, instead of
+//! as one pre-built `Vec` handed to
 //! [`EvalDriver::run`](virtclust_core::EvalDriver::run) up front.
 //!
 //! The pieces, bottom-up:
@@ -21,18 +21,17 @@
 //!   [`CancelGroup`](virtclust_sim::CancelGroup);
 //! * [`server`] — glues them together:
 //!   [`ServerBuilder`] → [`Server`] →
-//!   [`serve_unix`](Server::serve_unix)/[`serve_tcp`](Server::serve_tcp)
-//!   and in-process [`LocalClient`]s; results stream back to each
-//!   submitter as jobs complete. Sockets use blocking `std` I/O: an
-//!   acceptor thread, and per connection a reader thread that feeds the
-//!   scheduler and a writer thread that drains a bounded outbox the
-//!   workers append to;
+//!   [`serve_unix`](Server::serve_unix)/[`serve_tcp`](Server::serve_tcp);
+//!   results stream back to each submitter as jobs complete. Sockets use
+//!   blocking `std` I/O: an acceptor thread, and per connection a reader
+//!   thread that feeds the scheduler and a writer thread that drains a
+//!   bounded outbox the workers append to;
 //! * [`client`] — the blocking socket [`Client`] (`loadgen`'s side).
 //!
 //! Determinism carries through end to end: a job's statistics depend
 //! only on its spec, so the same job set yields the same per-cell
-//! results regardless of arrival order, socket vs. in-process transport,
-//! or worker count — the service integration tests and the CI smoke job
+//! results regardless of arrival order, Unix vs. TCP transport, or
+//! worker count — the service integration tests and the CI smoke job
 //! (`loadgen --verify`) hold the service to bit-identity against a
 //! direct [`EvalDriver::run_resilient`](virtclust_core::EvalDriver::run_resilient)
 //! of the same jobs.
@@ -47,7 +46,7 @@ pub mod wire;
 
 pub use client::{Client, Stream};
 pub use sched::{SchedConfig, Scheduler};
-pub use server::{LocalClient, LocalResult, Server, ServerBuilder, CANCELLED_BEFORE_START};
+pub use server::{Server, ServerBuilder, CANCELLED_BEFORE_START};
 pub use wire::{
     resolve_spec, stats_digest, BusyReason, ClientMsg, JobSpec, Priority, ServerMsg, Submit,
     SvcStats, WireResult, WireStats,

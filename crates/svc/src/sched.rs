@@ -92,8 +92,6 @@ pub struct SvcCounters {
     pub completed: SharedCounter,
     /// Jobs currently running on a worker.
     pub inflight: Gauge,
-    /// Jobs currently queued.
-    pub queued: Gauge,
 }
 
 /// The scheduler. [`JobSource::pull`] blocks workers on a condvar until
@@ -178,7 +176,6 @@ impl Scheduler {
         *st.per_client.entry(client).or_insert(0) += 1;
         drop(st);
         self.counters.accepted.inc();
-        self.counters.queued.inc();
         self.available.notify_one();
         Ok(())
     }
@@ -222,7 +219,6 @@ impl Scheduler {
             drained.push(Drained {
                 global: entry.global,
             });
-            self.counters.queued.dec();
         }
         drop(st);
         self.available.notify_all();
@@ -252,22 +248,21 @@ impl Scheduler {
         st.queued_total -= drained.len();
         st.per_client.remove(&client);
         drop(st);
-        for _ in &drained {
-            self.counters.queued.dec();
-        }
         self.cancel.remove(client);
         drained
     }
 
-    /// Statistics snapshot for the wire.
+    /// Statistics snapshot for the wire. `queued` is read from the queue
+    /// itself, under its lock.
     pub fn stats(&self) -> SvcStats {
+        let queued = self.lock().queued_total as u64;
         let wait = self.wait.lock().unwrap_or_else(PoisonError::into_inner);
         SvcStats {
             accepted: self.counters.accepted.get(),
             rejected: self.counters.rejected.get(),
             completed: self.counters.completed.get(),
             inflight: self.counters.inflight.get(),
-            queued: self.counters.queued.get(),
+            queued,
             queue_wait: [0, 1, 2].map(|i| {
                 let h: &Log2Hist = &wait[i];
                 (h.count(), h.percentile(0.5), h.percentile(0.99))
@@ -285,7 +280,6 @@ impl JobSource for Scheduler {
         loop {
             if let Some((client, entry)) = Self::pop(&mut st) {
                 drop(st);
-                self.counters.queued.dec();
                 self.counters.inflight.inc();
                 let waited = entry.submitted.elapsed();
                 self.wait.lock().unwrap_or_else(PoisonError::into_inner)[entry.priority as usize]
@@ -408,7 +402,7 @@ mod tests {
                 }
                 n
             });
-            while s.counters.queued.get() > 0 {
+            while s.stats().queued > 0 {
                 std::thread::yield_now();
             }
             // Give the puller a moment to block on the condvar, then close.

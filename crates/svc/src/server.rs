@@ -1,7 +1,7 @@
-//! The evaluation server: a [`Scheduler`] fed by socket connections
-//! and/or in-process [`LocalClient`]s, drained by the batch engine's
-//! worker pool ([`EvalDriver::drain_source`]), with per-cell results
-//! streamed back to whoever submitted each job.
+//! The evaluation server: a [`Scheduler`] fed by socket connections,
+//! drained by the batch engine's worker pool
+//! ([`EvalDriver::drain_source`]), with per-cell results streamed back to
+//! whichever connection submitted each job.
 //!
 //! Sockets use blocking `std` I/O. These threads cooperate:
 //!
@@ -14,14 +14,12 @@
 //! * **a reader per connection** — `read_frame` → `decode_client` →
 //!   dispatch into the scheduler. It stops taking requests while the
 //!   outbox is full, which pushes back on a client that does not read;
-//! * **a writer per connection** — drains the outbox to the socket;
-//! * **clients' own threads** — [`LocalClient`] submits straight into
-//!   the scheduler and blocks on its private inbox, no sockets involved.
+//! * **a writer per connection** — drains the outbox to the socket.
 //!
 //! Result routing is by ticket: the scheduler's global ticket is
-//! [`reserve`](Scheduler::reserve)d and mapped to the submitting client
-//! *before* the job is admitted, so a worker completing the job
-//! instantly can never race the registration. The reader holds the
+//! [`reserve`](Scheduler::reserve)d and mapped to the submitting
+//! connection's outbox *before* the job is admitted, so a worker
+//! completing the job instantly can never race the registration. The reader holds the
 //! outbox across admission, so a ticket's `Accepted` or `Busy` always
 //! precedes its `Result`.
 //!
@@ -30,7 +28,7 @@
 //! [`Server::join`] then wakes the acceptor and waits for it and for
 //! every connection thread.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -38,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle, Scope};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use virtclust_core::{EvalDriver, EvalJob, JobDone, ResilientOptions};
 use virtclust_sim::SimStats;
@@ -74,55 +72,6 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 /// up to one `MAX_FRAME_LEN` frame in its reader; a connection past the
 /// cap is closed as soon as it is accepted.
 const MAX_CONNS: usize = 64;
-
-/// One job's outcome as delivered to a [`LocalClient`]: the full
-/// statistics, not the wire summary.
-#[derive(Debug)]
-pub struct LocalResult {
-    /// The ticket the client submitted under.
-    pub ticket: u64,
-    /// Wall-clock time on the worker.
-    pub wall: Duration,
-    /// Full statistics, or the failure rendered as a string (the same
-    /// string a socket client would see).
-    pub stats: Result<SimStats, String>,
-}
-
-/// A local client's result inbox.
-#[derive(Default)]
-struct LocalInbox {
-    queue: Mutex<VecDeque<LocalResult>>,
-    ready: Condvar,
-}
-
-impl LocalInbox {
-    fn push(&self, r: LocalResult) {
-        self.queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(r);
-        self.ready.notify_all();
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<LocalResult> {
-        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(r) = q.pop_front() {
-                return Some(r);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(q, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
-        }
-    }
-}
 
 /// A socket connection's encoded server→client frames. Workers and the
 /// reader append without blocking; the connection's writer drains it.
@@ -196,42 +145,27 @@ impl Outbox {
 }
 
 /// Where a completed job's result goes.
-enum Dest {
-    /// A socket connection's outbox.
-    Conn(Arc<Outbox>),
-    /// An in-process client's inbox.
-    Local(Arc<LocalInbox>),
-}
-
 struct Route {
-    dest: Dest,
+    /// The submitting connection's outbox.
+    outbox: Arc<Outbox>,
     /// The client's own ticket for the job.
     ticket: u64,
 }
 
 impl Route {
-    /// Hand one outcome to whoever submitted the job.
+    /// Post one outcome to the connection that submitted the job.
     fn deliver(self, wall: Duration, stats: Result<SimStats, String>) {
-        match self.dest {
-            Dest::Local(inbox) => inbox.push(LocalResult {
-                ticket: self.ticket,
-                wall,
-                stats,
+        let result = WireResult {
+            ticket: self.ticket,
+            wall_us: wall.as_micros() as u64,
+            outcome: stats.map(|s| WireStats {
+                cycles: s.cycles,
+                committed_uops: s.committed_uops,
+                copies: s.copies_generated,
+                digest: stats_digest(&s),
             }),
-            Dest::Conn(outbox) => {
-                let result = WireResult {
-                    ticket: self.ticket,
-                    wall_us: wall.as_micros() as u64,
-                    outcome: stats.map(|s| WireStats {
-                        cycles: s.cycles,
-                        committed_uops: s.committed_uops,
-                        copies: s.copies_generated,
-                        digest: stats_digest(&s),
-                    }),
-                };
-                outbox.post(|| ServerMsg::Result(result));
-            }
-        }
+        };
+        self.outbox.post(|| ServerMsg::Result(result));
     }
 }
 
@@ -242,7 +176,7 @@ struct SvcInner {
     /// Live socket connections' outboxes by client id; `None` once the
     /// pool has drained and every connection was told to close.
     conns: Mutex<Option<HashMap<u64, Arc<Outbox>>>>,
-    /// Client ids, for sockets and local clients alike.
+    /// Connection ids, which are the scheduler's client ids.
     next_client: AtomicU64,
 }
 
@@ -317,18 +251,19 @@ impl SvcInner {
         self.report_drained(drained);
     }
 
-    /// Route-registering submit shared by sockets and local clients.
+    /// Register the result route, then admit the job for connection
+    /// `client`.
     fn submit_routed(
         &self,
         client: u64,
-        dest: Dest,
+        outbox: Arc<Outbox>,
         ticket: u64,
         job: EvalJob,
         priority: Priority,
         deadline: Option<Duration>,
     ) -> Result<(), BusyReason> {
         let global = self.sched.reserve();
-        self.lock_routes().insert(global, Route { dest, ticket });
+        self.lock_routes().insert(global, Route { outbox, ticket });
         match self.sched.submit(client, global, job, priority, deadline) {
             Ok(()) => Ok(()),
             Err(reason) => {
@@ -422,16 +357,6 @@ pub struct Server {
 }
 
 impl Server {
-    /// An in-process client: submits bypass the wire and results arrive
-    /// as full [`LocalResult`]s on a private inbox.
-    pub fn local_client(&self) -> LocalClient {
-        LocalClient {
-            inner: Arc::clone(&self.inner),
-            client_id: self.inner.next_client.fetch_add(1, Ordering::Relaxed),
-            inbox: Arc::new(LocalInbox::default()),
-        }
-    }
-
     /// Serve connections on a Unix domain socket at `path` (an existing
     /// socket file is replaced). One listener per server.
     pub fn serve_unix(&mut self, path: impl AsRef<Path>) -> io::Result<()> {
@@ -508,45 +433,6 @@ impl Server {
             }
         }
         result.map(|()| inner.sched.stats())
-    }
-}
-
-/// An in-process service client (no sockets, same scheduler, same
-/// fairness/quota/backpressure rules).
-pub struct LocalClient {
-    inner: Arc<SvcInner>,
-    client_id: u64,
-    inbox: Arc<LocalInbox>,
-}
-
-impl LocalClient {
-    /// Submit a resolved job under a client-chosen ticket.
-    pub fn submit(
-        &self,
-        ticket: u64,
-        job: EvalJob,
-        priority: Priority,
-        deadline: Option<Duration>,
-    ) -> Result<(), BusyReason> {
-        self.inner.submit_routed(
-            self.client_id,
-            Dest::Local(Arc::clone(&self.inbox)),
-            ticket,
-            job,
-            priority,
-            deadline,
-        )
-    }
-
-    /// Block up to `timeout` for the next completed job.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<LocalResult> {
-        self.inbox.recv_timeout(timeout)
-    }
-
-    /// Cancel everything this client has queued or running.
-    pub fn cancel_all(&self) {
-        let drained = self.inner.sched.cancel_client(self.client_id);
-        self.inner.report_drained(drained);
     }
 }
 
@@ -711,9 +597,9 @@ fn dispatch(inner: &SvcInner, id: u64, outbox: &Arc<Outbox>, msg: ClientMsg) {
         }) => match resolve_spec(&spec) {
             Ok(job) => {
                 let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-                let dest = Dest::Conn(Arc::clone(outbox));
+                let route = Arc::clone(outbox);
                 outbox.post(|| {
-                    match inner.submit_routed(id, dest, ticket, job, priority, deadline) {
+                    match inner.submit_routed(id, route, ticket, job, priority, deadline) {
                         Ok(()) => ServerMsg::Accepted { ticket },
                         Err(reason) => ServerMsg::Busy { ticket, reason },
                     }

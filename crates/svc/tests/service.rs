@@ -1,7 +1,7 @@
-//! Service-layer integration: determinism across transports and arrival
-//! orders, backpressure isolation, cancellation, socket round-trips held
-//! bit-identical to a direct batch-engine run, and a daemon that outlives
-//! hostile clients.
+//! Service-layer integration over sockets: determinism across arrival
+//! orders, backpressure isolation, cancellation, Unix and TCP round-trips
+//! held bit-identical to a direct batch-engine run, and a daemon that
+//! outlives hostile clients and undecodable job files.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
@@ -10,12 +10,12 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use virtclust_core::{EvalDriver, EvalJob, ResilientOptions};
-use virtclust_svc::wire::{encode_client, recv_preamble, send_preamble};
+use virtclust_svc::wire::{decode_server, encode_client, recv_preamble, send_preamble};
 use virtclust_svc::{
-    resolve_spec, stats_digest, BusyReason, Client, ClientMsg, JobSpec, Priority, ServerBuilder,
-    ServerMsg, Submit, CANCELLED_BEFORE_START,
+    resolve_spec, stats_digest, BusyReason, Client, ClientMsg, JobSpec, Priority, Server,
+    ServerBuilder, ServerMsg, Submit, CANCELLED_BEFORE_START,
 };
-use virtclust_trace::frame::{put_u64, MAX_FRAME_LEN};
+use virtclust_trace::frame::{put_u64, read_frame, MAX_FRAME_LEN};
 use virtclust_uarch::MachineConfig;
 
 const RECV_TIMEOUT: Duration = Duration::from_secs(60);
@@ -65,30 +65,37 @@ fn direct_digests(specs: &[JobSpec]) -> Vec<u64> {
         .collect()
 }
 
-#[test]
-fn local_round_trip_is_bit_identical_to_the_driver() {
-    let specs = mixed_specs();
-    let expected = direct_digests(&specs);
-    let server = ServerBuilder::new(&MachineConfig::paper_2cluster())
-        .threads(2)
-        .start();
-    let client = server.local_client();
-    for (i, spec) in specs.iter().enumerate() {
-        let job = resolve_spec(spec).unwrap();
-        client
-            .submit(i as u64, job, Priority::Normal, None)
-            .unwrap();
+/// A server started from `builder` and listening on a fresh Unix socket
+/// for the test named `name`.
+fn unix_server(name: &str, builder: ServerBuilder) -> (Server, PathBuf) {
+    let sock = sock_path(name);
+    let mut server = builder.start();
+    server.serve_unix(&sock).unwrap();
+    (server, sock)
+}
+
+/// A normal-priority submit of `spec` with no deadline.
+fn normal(ticket: u64, spec: &JobSpec) -> Submit {
+    Submit {
+        ticket,
+        priority: Priority::Normal,
+        deadline_ms: 0,
+        spec: spec.clone(),
     }
-    let mut got = HashMap::new();
-    while got.len() < specs.len() {
-        let r = client.recv_timeout(RECV_TIMEOUT).expect("result in time");
-        got.insert(r.ticket, stats_digest(&r.stats.expect("job ok")));
+}
+
+/// A suite-point spec under OP.
+fn op_point(name: &str, uops: u64) -> JobSpec {
+    JobSpec::Point {
+        name: name.into(),
+        scheme: "OP".into(),
+        uops,
     }
-    for (i, want) in expected.iter().enumerate() {
-        assert_eq!(got[&(i as u64)], *want, "job {i} differs from direct run");
-    }
-    server.shutdown();
-    server.join().unwrap();
+}
+
+/// Fail on any reply but `Accepted`.
+fn accepted(msg: ServerMsg) {
+    assert!(matches!(msg, ServerMsg::Accepted { .. }), "{msg:?}");
 }
 
 #[test]
@@ -96,25 +103,21 @@ fn arrival_order_does_not_change_the_result_set() {
     let specs = mixed_specs();
     let mut digests = Vec::new();
     for reversed in [false, true] {
-        let server = ServerBuilder::new(&MachineConfig::paper_2cluster())
-            .threads(2)
-            .start();
-        let client = server.local_client();
+        let builder = ServerBuilder::new(&MachineConfig::paper_2cluster()).threads(2);
+        let (server, sock) = unix_server(&format!("order-{reversed}"), builder);
+        let mut client = Client::connect_unix(&sock).unwrap();
         let order: Vec<usize> = if reversed {
             (0..specs.len()).rev().collect()
         } else {
             (0..specs.len()).collect()
         };
         for &i in &order {
-            let job = resolve_spec(&specs[i]).unwrap();
-            client
-                .submit(i as u64, job, Priority::Normal, None)
-                .unwrap();
+            client.submit(&normal(i as u64, &specs[i])).unwrap();
         }
         let mut got = HashMap::new();
         while got.len() < specs.len() {
-            let r = client.recv_timeout(RECV_TIMEOUT).expect("result in time");
-            got.insert(r.ticket, stats_digest(&r.stats.expect("job ok")));
+            let r = client.recv_result(accepted).unwrap().expect("server alive");
+            got.insert(r.ticket, r.outcome.expect("job ok").digest);
         }
         digests.push(got);
         server.shutdown();
@@ -130,70 +133,84 @@ fn arrival_order_does_not_change_the_result_set() {
 fn over_quota_client_bounces_without_perturbing_others() {
     // One worker and one slow job keep the queue occupied long enough to
     // exercise the quota deterministically.
-    let server = ServerBuilder::new(&MachineConfig::paper_2cluster())
+    let builder = ServerBuilder::new(&MachineConfig::paper_2cluster())
         .threads(1)
-        .client_quota(2)
-        .start();
-    let greedy = server.local_client();
-    let modest = server.local_client();
-    let job = || {
-        resolve_spec(&JobSpec::Point {
-            name: "gzip-1".into(),
-            scheme: "OP".into(),
-            uops: 50_000,
-        })
-        .unwrap()
-    };
+        .client_quota(2);
+    let (server, sock) = unix_server("quota", builder);
+    let mut greedy = Client::connect_unix(&sock).unwrap();
+    let mut modest = Client::connect_unix(&sock).unwrap();
+    let job = op_point("gzip-1", 50_000);
     // The greedy client fills its quota plus the worker...
-    let mut accepted = 0;
-    let mut busy = 0;
     for t in 0..8 {
-        match greedy.submit(t, job(), Priority::Normal, None) {
-            Ok(()) => accepted += 1,
-            Err(BusyReason::OverQuota) => busy += 1,
-            Err(other) => panic!("unexpected bounce: {other}"),
+        greedy.submit(&normal(t, &job)).unwrap();
+    }
+    let (mut admitted, mut busy, mut done) = (0, 0, 0);
+    while admitted + busy < 8 {
+        match greedy.recv().unwrap().expect("server alive") {
+            ServerMsg::Accepted { .. } => admitted += 1,
+            ServerMsg::Busy {
+                reason: BusyReason::OverQuota,
+                ..
+            } => busy += 1,
+            ServerMsg::Result(r) => {
+                assert!(r.outcome.is_ok());
+                done += 1;
+            }
+            other => panic!("unexpected reply: {other:?}"),
         }
     }
     assert!(busy > 0, "quota never engaged");
     // ...and the modest client still gets in regardless.
-    modest.submit(100, job(), Priority::Normal, None).unwrap();
-    let r = modest.recv_timeout(RECV_TIMEOUT).expect("modest result");
+    modest.submit(&normal(100, &job)).unwrap();
+    let r = modest
+        .recv_result(accepted)
+        .unwrap()
+        .expect("modest result");
     assert_eq!(r.ticket, 100);
-    assert!(r.stats.is_ok());
-    for _ in 0..accepted {
-        assert!(greedy.recv_timeout(RECV_TIMEOUT).is_some());
+    assert!(r.outcome.is_ok());
+    while done < admitted {
+        let r = greedy
+            .recv_result(accepted)
+            .unwrap()
+            .expect("greedy result");
+        assert!(r.outcome.is_ok());
+        done += 1;
     }
-    let stats = server.stats();
-    assert_eq!(stats.rejected, busy);
-    assert_eq!(stats.accepted, accepted + 1);
-    assert_eq!(stats.completed, accepted + 1);
+    greedy.get_stats().unwrap();
+    match greedy.recv().unwrap().expect("stats frame") {
+        ServerMsg::Stats(stats) => {
+            assert_eq!(stats.rejected, busy);
+            assert_eq!(stats.accepted, admitted + 1);
+            assert_eq!(stats.completed, admitted + 1);
+            assert_eq!(stats.queued, 0);
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
     server.shutdown();
     server.join().unwrap();
 }
 
 #[test]
 fn cancel_all_reports_queued_jobs_cancelled() {
-    let server = ServerBuilder::new(&MachineConfig::paper_2cluster())
-        .threads(1)
-        .start();
-    let client = server.local_client();
+    let builder = ServerBuilder::new(&MachineConfig::paper_2cluster()).threads(1);
+    let (server, sock) = unix_server("cancel", builder);
+    let mut client = Client::connect_unix(&sock).unwrap();
     // A long job pins the single worker; everything behind it stays
     // queued until the cancel.
     for t in 0..4 {
-        let job = resolve_spec(&JobSpec::Point {
-            name: "mcf".into(),
-            scheme: "OP".into(),
-            uops: 500_000,
-        })
-        .unwrap();
-        client.submit(t, job, Priority::Normal, None).unwrap();
+        client
+            .submit(&normal(t, &op_point("mcf", 500_000)))
+            .unwrap();
     }
-    client.cancel_all();
+    client.cancel_all().unwrap();
     let mut cancelled_before_start = 0;
     let mut stopped = 0;
     for _ in 0..4 {
-        let r = client.recv_timeout(RECV_TIMEOUT).expect("all jobs report");
-        match r.stats {
+        let r = client
+            .recv_result(accepted)
+            .unwrap()
+            .expect("all jobs report");
+        match r.outcome {
             Err(e) if e == CANCELLED_BEFORE_START => cancelled_before_start += 1,
             Err(e) if e.contains("cancelled") => stopped += 1,
             Ok(_) => stopped += 1, // the running job may finish first
@@ -207,6 +224,45 @@ fn cancel_all_reports_queued_jobs_cancelled() {
     assert_eq!(cancelled_before_start + stopped, 4);
     server.shutdown();
     server.join().unwrap();
+}
+
+#[test]
+fn a_kernel_file_with_a_multi_byte_register_gets_an_error_result() {
+    let dir = std::env::temp_dir().join(format!("virtclust-svc-utf8-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let kernel = dir.join("utf8.kernel");
+    std::fs::write(&kernel, "i alu é1 = r1 r2\n").unwrap();
+    let builder = ServerBuilder::new(&MachineConfig::paper_2cluster()).threads(1);
+    let (server, sock) = unix_server("utf8", builder);
+    // A raw connection with a read timeout: a daemon that never answers
+    // fails the test instead of hanging it.
+    let mut conn = handshake(&sock);
+    conn.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
+    let spec = JobSpec::Kernel {
+        path: kernel.to_string_lossy().into_owned(),
+        seed: 1,
+        scheme: "OP".into(),
+        uops: 1_000,
+    };
+    let mut frames = Vec::new();
+    encode_client(&mut frames, &ClientMsg::Submit(normal(7, &spec))).unwrap();
+    encode_client(&mut frames, &ClientMsg::Shutdown).unwrap();
+    conn.write_all(&frames).unwrap();
+    let (msg_type, body) = read_frame(&mut conn).unwrap().expect("a reply");
+    match decode_server(msg_type, &body).unwrap() {
+        Some(ServerMsg::Result(r)) => {
+            assert_eq!(r.ticket, 7);
+            let err = r.outcome.expect_err("an undecodable kernel cannot run");
+            assert!(err.contains("bad register"), "{err}");
+        }
+        other => panic!("expected a Result frame, got {other:?}"),
+    }
+    assert!(
+        read_frame(&mut conn).unwrap().is_none(),
+        "EOF after shutdown"
+    );
+    server.join().expect("every daemon thread survived");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Where a socket test's server listens.
@@ -240,14 +296,7 @@ fn socket_round_trip(transport: Transport) {
         }
     };
     for (i, spec) in specs.iter().enumerate() {
-        client
-            .submit(&Submit {
-                ticket: i as u64,
-                priority: Priority::Normal,
-                deadline_ms: 0,
-                spec: spec.clone(),
-            })
-            .unwrap();
+        client.submit(&normal(i as u64, spec)).unwrap();
     }
     let mut accepted = HashSet::new();
     let mut results = HashMap::new();
@@ -434,14 +483,7 @@ fn hostile_clients_neither_stop_nor_skew_the_daemon() {
         }
     };
     for (i, (spec, want)) in specs.iter().zip(&expected).enumerate() {
-        client
-            .submit(&Submit {
-                ticket: i as u64,
-                priority: Priority::Normal,
-                deadline_ms: 0,
-                spec: spec.clone(),
-            })
-            .unwrap();
+        client.submit(&normal(i as u64, spec)).unwrap();
         let r = client
             .recv_result(|m| assert_eq!(m, ServerMsg::Accepted { ticket: i as u64 }))
             .unwrap()

@@ -30,8 +30,8 @@
 //!
 //! The resulting [`Program`] drives the normal pipeline: compiler passes
 //! annotate it, `virtclust-workloads`' expander (which accepts any program)
-//! instantiates dynamic behaviour, and the capture path persists the
-//! result.
+//! instantiates dynamic behaviour, and a [`TraceWriter`](crate::TraceWriter)
+//! persists the result.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -154,6 +154,12 @@ i br r3
         assert!(matches!(err, TraceError::Parse { line: 2, .. }), "{err}");
         assert!(parse_kernel("").is_err(), "empty kernel");
         assert!(parse_kernel("i ld r99 = r1\n").is_err(), "bad register");
+    }
+
+    #[test]
+    fn multi_byte_register_is_a_parse_error() {
+        let err = parse_kernel("i alu é1 = r1 r2\n").unwrap_err();
+        assert!(matches!(err, TraceError::Parse { line: 1, .. }), "{err}");
     }
 
     #[test]

@@ -29,16 +29,13 @@
 //!   into the simulator); traces never need to be memory-resident, and a
 //!   reader [`rewinds`](TraceReader::rewind) to the first record without
 //!   re-parsing, so one parsed trace feeds many simulations;
-//! * **capture** — [`capture::record_stream`] /
-//!   [`capture::capture_to_file`] record any live `TraceSource` (such as
-//!   the synthetic workload expander);
 //! * **import** — [`import::parse_kernel`] reads a one-uop-per-line textual
 //!   kernel, so externally authored programs enter the pipeline without
 //!   touching the generator.
 //!
 //! ```
-//! use virtclust_trace::{capture, Codec, TraceReader, TraceWriter};
-//! use virtclust_uarch::{ArchReg, RegionBuilder, Program, VecTrace};
+//! use virtclust_trace::{Codec, TraceReader, TraceWriter};
+//! use virtclust_uarch::{ArchReg, RegionBuilder, Program};
 //!
 //! // A toy program and its dynamic stream.
 //! let r = ArchReg::int;
@@ -61,11 +58,6 @@
 //! // Seekable sources rewind without re-parsing the embedded program.
 //! reader.rewind().unwrap();
 //! assert_eq!(reader.read_all().unwrap(), uops);
-//!
-//! // Capture helpers record any live TraceSource with a budget.
-//! let mut live = VecTrace::new(uops.clone());
-//! let mut w = TraceWriter::new(Vec::new(), &program, Codec::Binary, None).unwrap();
-//! assert_eq!(capture::record_stream(&mut live, 1, &mut w).unwrap(), 1);
 //! ```
 //!
 //! The replay pipeline that feeds stored traces through the experiment
@@ -76,7 +68,6 @@
 #![warn(missing_docs)]
 
 pub mod binary;
-pub mod capture;
 pub mod error;
 pub mod frame;
 pub mod import;
@@ -85,7 +76,6 @@ pub mod record;
 pub mod text;
 pub mod writer;
 
-pub use capture::{capture_to_file, record_stream};
 pub use error::{Result, TraceError};
 pub use import::{import_kernel_file, parse_kernel};
 pub use reader::TraceReader;

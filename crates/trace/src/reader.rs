@@ -619,6 +619,41 @@ mod tests {
         assert!(matches!(err, TraceError::TooLarge(_)), "{err}");
     }
 
+    /// A trace of one `r12 = r1 + r2` instruction whose `r12` token is
+    /// replaced by `é1`, the same three bytes opening with a two-byte
+    /// character.
+    fn trace_with_multi_byte_register(codec: Codec) -> Vec<u8> {
+        let r = ArchReg::int;
+        let mut p = Program::new("utf8");
+        p.add_region(RegionBuilder::new(0, "r").alu(r(12), &[r(1), r(2)]).build());
+        let mut buf = Vec::new();
+        TraceWriter::new(&mut buf, &p, codec, None)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let at = buf.windows(3).position(|w| w == b"r12").unwrap();
+        buf[at..at + 3].copy_from_slice("é1".as_bytes());
+        buf
+    }
+
+    #[test]
+    fn text_trace_with_a_multi_byte_register_is_a_parse_error() {
+        let bytes = trace_with_multi_byte_register(Codec::Text);
+        let err = TraceReader::new(std::io::Cursor::new(&bytes))
+            .err()
+            .unwrap();
+        assert!(matches!(err, TraceError::Parse { .. }), "{err}");
+    }
+
+    #[test]
+    fn binary_trace_with_a_multi_byte_register_is_a_parse_error() {
+        let bytes = trace_with_multi_byte_register(Codec::Binary);
+        let err = TraceReader::new(std::io::Cursor::new(&bytes))
+            .err()
+            .unwrap();
+        assert!(matches!(err, TraceError::Parse { .. }), "{err}");
+    }
+
     #[test]
     fn binary_trace_one_instruction_over_the_cap_is_too_large() {
         let at_cap = trace_with_program(text::MAX_PROGRAM_INSTS, Codec::Binary);

@@ -147,11 +147,14 @@ pub fn program_section_to_string(program: &Program) -> Result<String> {
 
 fn parse_reg(line_no: u64, tok: &str) -> Result<ArchReg> {
     let err = || TraceError::parse(line_no, format!("bad register `{tok}`"));
-    let (class, idx) = tok.split_at(1.min(tok.len()));
-    let idx: u8 = idx.parse().map_err(|_| err())?;
+    // The class is the first character, not the first byte: a token may
+    // open with a multi-byte character.
+    let mut chars = tok.chars();
+    let class = chars.next().ok_or_else(err)?;
+    let idx: u8 = chars.as_str().parse().map_err(|_| err())?;
     match class {
-        "r" if (idx as usize) < NUM_INT_ARCH_REGS => Ok(ArchReg::int(idx)),
-        "f" if (idx as usize) < NUM_FLT_ARCH_REGS => Ok(ArchReg::flt(idx)),
+        'r' if (idx as usize) < NUM_INT_ARCH_REGS => Ok(ArchReg::int(idx)),
+        'f' if (idx as usize) < NUM_FLT_ARCH_REGS => Ok(ArchReg::flt(idx)),
         _ => Err(err()),
     }
 }

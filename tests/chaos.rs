@@ -124,16 +124,13 @@ proptest! {
         s4 in maybe_spec(),
         threads_idx in 0usize..3,
         max_retries in 0u32..3,
-        retry_panics in 0u8..2,
     ) {
         let reference = reference();
         let jobs = jobs();
         let machine = MachineConfig::paper_2cluster();
         let threads = [1, 2, 8][threads_idx];
         let schedule = schedule_of([s0, s1, s2, s3, s4]);
-        let opts = ResilientOptions::default()
-            .retries(max_retries)
-            .retry_panics(retry_panics == 1);
+        let opts = ResilientOptions::default().retries(max_retries);
 
         let guard = ScopedFaults::arm(&schedule);
         let (outcomes, report) = EvalDriver::new(&machine)
