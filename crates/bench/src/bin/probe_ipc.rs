@@ -1,6 +1,7 @@
 //! Diagnostic probe: per-point IPC and bottleneck stats. Not part of the
 //! paper reproduction; used to calibrate the workload suite (parameter
-//! rationale in `virtclust_workloads::spec`) and to pin perf baselines.
+//! rationale in `virtclust_workloads::spec`) and to pin the simulator's
+//! output bit for bit.
 //!
 //! Two output modes:
 //!
@@ -13,20 +14,17 @@
 //!   reuse):
 //!   `{"point":"gzip-1","scheme":"OP","ipc":0.733,"copies":1408,"uops":20000,
 //!   "stalls":{"rob-full":…,…},"frontend_starved":…,"l1_hit":0.97,
-//!   "l2_hit":0.41,"store_forwards":…,"uops_per_sec":1445000}`.
-//!   Everything except `uops_per_sec` is deterministic (the CI
-//!   bit-identity gate diffs those fields across cycle-skipping modes);
-//!   `uops_per_sec` is the cell's wall-clock simulation throughput on its
-//!   worker (only meaningful with `VIRTCLUST_THREADS` ≤ physical cores).
-//!   A final aggregate line sums the whole batch. `--metrics-out FILE`
-//!   additionally writes per-job scheduling metrics (queue wait, run span,
-//!   worker, latency percentiles) as JSONL. With `--retries N`,
+//!   "l2_hit":0.41,"store_forwards":…}`.
+//!   A final aggregate line sums the whole batch. The output carries no
+//!   wall-clock field, so it is deterministic: the CI bit-identity gate
+//!   diffs it across cycle-skipping modes, and the simulator's speed is
+//!   measured by the benchmark under `vcbench/`. With `--retries N`,
 //!   `--deadline-ms MS` and/or `--chaos SCHEDULE` (or
 //!   `VIRTCLUST_FAILPOINTS`) the batch runs resiliently: failed cells
 //!   become `{"point":…,"scheme":…,"error":…}` rows, the degraded-
 //!   completion summary goes to stderr, and the process still exits 0 —
 //!   the CI chaos job's process-stays-alive demonstration. This feeds
-//!   `results/BASELINES.md` (see ROADMAP "Perf baselines"):
+//!   the IPC tables of `results/BASELINES.md`:
 //!
 //!   ```sh
 //!   VIRTCLUST_UOPS=20000 VIRTCLUST_THREADS=1 \
@@ -34,13 +32,9 @@
 //!   ```
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
 use virtclust_bench::{threads, uop_budget, Cli, RESILIENCE_FLAGS};
-use virtclust_core::{
-    run_point, BatchMetrics, Configuration, EvalDriver, EvalJob, ResilientOptions,
-};
+use virtclust_core::{run_point, Configuration, EvalDriver, EvalJob, ResilientOptions};
 use virtclust_sim::{SimStats, StallReason};
 use virtclust_uarch::MachineConfig;
 use virtclust_workloads::spec2000_points;
@@ -73,49 +67,10 @@ fn detail_fields(stats: &SimStats) -> String {
     out
 }
 
-/// Write per-job scheduling metrics as JSONL: one line per job plus an
-/// aggregate (wall clock, utilization, latency percentiles).
-fn write_metrics(path: &Path, labels: &[String], metrics: &BatchMetrics) {
-    let mut out = String::new();
-    for (label, m) in labels.iter().zip(&metrics.jobs) {
-        let _ = writeln!(
-            out,
-            "{{\"job\":\"{label}\",\"worker\":{},\"queued_us\":{},\"run_us\":{},\"done_us\":{}}}",
-            m.worker,
-            m.queued.as_micros(),
-            m.run.as_micros(),
-            m.done_at.as_micros(),
-        );
-    }
-    // The success/failed split keeps this row well-formed even when every
-    // job failed under chaos: the success percentiles report 0 (empty
-    // histogram), and the failed-side percentiles carry the latency signal
-    // the degraded run still has.
-    let _ = writeln!(
-        out,
-        "{{\"aggregate\":\"batch\",\"jobs\":{},\"ok\":{},\"failed\":{},\"workers\":{},\"wall_us\":{},\"utilization\":{:.3},\"latency_p50_us\":{},\"latency_p99_us\":{},\"failed_p50_us\":{},\"failed_p99_us\":{}}}",
-        metrics.jobs.len(),
-        metrics.latency_hist.count(),
-        metrics.failed_latency_hist.count(),
-        metrics.workers,
-        metrics.wall.as_micros(),
-        metrics.utilization(),
-        metrics.latency_percentile(0.5),
-        metrics.latency_percentile(0.99),
-        metrics.failed_latency_hist.percentile(0.5),
-        metrics.failed_latency_hist.percentile(0.99),
-    );
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("probe_ipc: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-}
-
 fn json_mode(
     uops: u64,
     machine: &MachineConfig,
     point_filter: Option<&str>,
-    metrics_out: Option<&Path>,
     resilience: Option<ResilientOptions>,
 ) {
     let mut points = spec2000_points();
@@ -138,26 +93,19 @@ fn json_mode(
             })
         })
         .collect();
-    let start = Instant::now();
     let driver = EvalDriver::new(machine).threads(threads());
     // With resilience/chaos in play, the degraded-completion path: one
     // erroring/panicking cell is one error row, the process stays alive
     // and exits 0 with a BatchReport summary on stderr.
     let resilient = resilience.is_some();
-    let (outcomes, metrics) = match resilience {
+    let outcomes = match resilience {
         Some(opts) => {
             let (outcomes, report) = driver.run_resilient(&jobs, &opts, |_, _| {});
             eprintln!("probe_ipc: {}", report.summary());
-            (outcomes, report.metrics)
+            outcomes
         }
-        None => driver.run_with_metrics(&jobs, |_, _| {}),
+        None => driver.run(&jobs),
     };
-    let wall = start.elapsed();
-    if let Some(path) = metrics_out {
-        let clusters = machine.num_clusters as u32;
-        let labels: Vec<String> = jobs.iter().map(|j| j.label(clusters)).collect();
-        write_metrics(path, &labels, &metrics);
-    }
     let mut total_uops = 0u64;
     let mut ok_cells = 0u64;
     for (pi, point) in points.iter().enumerate() {
@@ -169,13 +117,12 @@ fn json_mode(
                     total_uops += stats.committed_uops;
                     ok_cells += 1;
                     println!(
-                        "{{\"point\":\"{}\",\"scheme\":\"{scheme}\",\"ipc\":{:.4},\"copies\":{},\"uops\":{}{},\"uops_per_sec\":{:.0}}}",
+                        "{{\"point\":\"{}\",\"scheme\":\"{scheme}\",\"ipc\":{:.4},\"copies\":{},\"uops\":{}{}}}",
                         point.name,
                         stats.ipc(),
                         stats.copies_generated,
                         stats.committed_uops,
                         detail_fields(stats),
-                        outcome.uops_per_sec(),
                     );
                 }
                 Err(e) if resilient => {
@@ -192,16 +139,13 @@ fn json_mode(
             }
         }
     }
-    // Exact ok/failed accounting; the throughput quotient stays finite
-    // (and 0) even when every cell failed, so an all-fail chaos run still
-    // emits one well-formed aggregate row and exits 0.
+    // Exact ok/failed accounting, so an all-fail chaos run still emits
+    // one well-formed aggregate row and exits 0.
     println!(
-        "{{\"aggregate\":\"table3\",\"cells\":{},\"ok\":{ok_cells},\"failed\":{},\"uops\":{},\"wall_s\":{:.3},\"uops_per_sec\":{:.0}}}",
+        "{{\"aggregate\":\"table3\",\"cells\":{},\"ok\":{ok_cells},\"failed\":{},\"uops\":{}}}",
         outcomes.len(),
         outcomes.len() as u64 - ok_cells,
         total_uops,
-        wall.as_secs_f64(),
-        total_uops as f64 / wall.as_secs_f64().max(1e-9),
     );
 }
 
@@ -236,10 +180,10 @@ fn table_mode(uops: u64, machine: &MachineConfig) {
 
 const CLI: Cli = Cli {
     usage: "usage: probe_ipc [--clusters 2|4|8]\n       \
-            probe_ipc --json [--clusters 2|4|8] [--point NAME] [--metrics-out FILE]\n                 \
+            probe_ipc --json [--clusters 2|4|8] [--point NAME]\n                 \
             [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]",
     switches: "--json",
-    values: "--clusters --point --metrics-out --retries --deadline-ms --chaos",
+    values: "--clusters --point --retries --deadline-ms --chaos",
     operands: false,
 };
 
@@ -249,11 +193,10 @@ fn main() {
     let resilience = args.resilience();
     let uops = uop_budget(20_000);
     let point_filter = args.str("--point");
-    let metrics_out = args.str("--metrics-out").map(Path::new);
     if args.has("--json") {
-        json_mode(uops, &machine, point_filter, metrics_out, resilience);
+        json_mode(uops, &machine, point_filter, resilience);
     } else {
-        args.only_in("--json mode", "--point --metrics-out");
+        args.only_in("--json mode", "--point");
         args.only_in("--json mode", RESILIENCE_FLAGS);
         table_mode(uops, &machine);
     }

@@ -1,11 +1,10 @@
 //! Session-reuse throughput harness: measures simulated micro-ops per
 //! wall-clock second **with and without** session reuse, per Table 3
-//! scheme, against the committed numbers in `results/BASELINES.md`.
+//! scheme, and checks the two runs agree bit for bit.
 //!
 //! ```text
 //! throughput [--uops N] [--runs R] [--clusters 2|4|8] [--point NAME]
-//!            [--trace FILE] [--stages] [--timeline FILE] [--observe]
-//!            [--every K] [--json-out FILE]
+//!            [--trace FILE] [--timeline FILE] [--observe] [--every K]
 //!            [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]
 //! ```
 //!
@@ -19,45 +18,30 @@
 //! * **reused** — one [`SimSession`] reset per run, with the trace
 //!   [`rewound`](virtclust_uarch::TraceSource::rewind) instead of rebuilt.
 //!
-//! Both modes must produce bit-identical statistics (checked every run);
-//! the report is the throughput of each and the speedup. `--trace FILE`
-//! instead measures batched replay of a stored trace through
-//! [`EvalDriver`] (`R` × Table 3 cells, readers parsed once and rewound);
-//! with `--retries`/`--deadline-ms`/`--chaos` (or `VIRTCLUST_FAILPOINTS`,
-//! trace mode only) the batch goes through the resilient engine and the
-//! report carries the degraded-completion summary instead of failing on
-//! the first faulted cell.
-//!
-//! `--stages` instead reports the per-stage wall-time share of a cycle
-//! (events+wakeup / commit / store-drain / memory / issue / stale-view /
-//! dispatch / fetch / skip) via [`SimSession::step_timed`] — the instrumented step
-//! loop the plain run never pays for — so perf PRs can point at the next
-//! bottleneck. The `skip` bucket is the idle-span probe plus span
-//! application, so shares sum to 100 % of wall time even on idle-heavy
-//! points like `mcf`.
+//! Both modes must produce bit-identical statistics (checked every run;
+//! a divergence exits 1); the report is the throughput of each and the
+//! speedup. `--trace FILE` instead measures batched replay of a stored
+//! trace through [`EvalDriver`] (`R` × Table 3 cells, readers parsed once
+//! and rewound); with `--retries`/`--deadline-ms`/`--chaos` (or
+//! `VIRTCLUST_FAILPOINTS`, trace mode only) the batch goes through the
+//! resilient engine and the report carries the degraded-completion
+//! summary instead of failing on the first faulted cell.
 //!
 //! `--timeline FILE` runs each scheme once with an interval observer
 //! attached and writes a Chrome-trace-event JSON (`chrome://tracing` /
-//! Perfetto) with per-stage slices, skipped idle spans, and IPC / stall /
-//! occupancy / queue-depth counter tracks, one interval every `--every`
-//! cycles (default 1000). Point mode prints the skip-path diagnostics
+//! Perfetto) with skipped idle spans and IPC / stall / occupancy /
+//! queue-depth counter tracks, one interval every `--every` cycles
+//! (default 1000). Point mode prints the skip-path diagnostics
 //! (spans, replicated cycles, span-length percentiles) per scheme;
 //! `--observe` adds a third measured loop with a live `MemSink` interval
 //! observer (interval `--every`) and reports its overhead vs the bare
-//! reused session — the source of the observer-overhead row in
-//! `results/BASELINES.md`.
+//! reused session.
 //!
-//! `--json-out FILE` (point mode only) additionally writes the run as a
-//! machine-readable perf-trajectory document: per-scheme fresh/reused
-//! uops/s, the reused run's stepped-vs-replicated cycle split, and
-//! ns per busy (stepped) cycle. Committed snapshots live under
-//! `results/bench/` (`prN-before.json` / `prN-after.json`); the CI
-//! bench-smoke job compares a fresh run against the newest committed file
-//! and warns on >10 % uops/s regression.
-//!
-//! In `gzip-1` point mode on the 2-cluster machine the report ends with a
-//! delta against the committed per-scheme mean in `results/BASELINES.md`
-//! (other points have no committed pin).
+//! The wall-clock figures are a quick look on one host. The simulator's
+//! speed is measured by the benchmark under `vcbench/`
+//! (`sim.ns_per_uop`, `sim.ns_per_stepped_cycle`); per-stage shares come
+//! from a sampling profile of this binary (the release profile keeps line
+//! tables).
 //!
 //! `--uops` defaults to `VIRTCLUST_UOPS` or 20 000; `--runs` defaults
 //! to 8. Results are also written to `results/throughput.md`.
@@ -67,21 +51,20 @@ use std::num::NonZeroU64;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use virtclust_bench::{results_dir, threads, uop_budget, write_result, Cli, RESILIENCE_FLAGS};
+use virtclust_bench::{threads, uop_budget, write_result, Cli, RESILIENCE_FLAGS};
 use virtclust_core::{Configuration, EvalDriver, EvalJob, ResilientOptions};
 use virtclust_obs::{ChromeTrace, MemSink, Shared};
-use virtclust_sim::{RunLimits, SimSession, SimStats, StageTimers, StallReason};
+use virtclust_sim::{RunLimits, SimSession, SimStats, StallReason};
 use virtclust_trace::TraceReader;
 use virtclust_uarch::{DynUop, MachineConfig, SliceTrace, TraceSource};
 use virtclust_workloads::spec2000_points;
 
 const CLI: Cli = Cli {
     usage: "usage: throughput [--uops N] [--runs R] [--clusters 2|4|8] [--point NAME]\n                  \
-            [--trace FILE] [--stages] [--timeline FILE] [--observe]\n                  \
-            [--every K] [--json-out FILE]\n                  \
+            [--trace FILE] [--timeline FILE] [--observe] [--every K]\n                  \
             [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]",
-    switches: "--stages --observe",
-    values: "--uops --runs --clusters --point --trace --timeline --every --json-out \
+    switches: "--observe",
+    values: "--uops --runs --clusters --point --trace --timeline --every \
              --retries --deadline-ms --chaos",
     operands: false,
 };
@@ -92,11 +75,9 @@ struct Args {
     machine: MachineConfig,
     point: String,
     trace: Option<String>,
-    stages: bool,
     timeline: Option<String>,
     every: u64,
     observe: bool,
-    json_out: Option<String>,
     /// Batch resilience (trace mode only).
     resilience: Option<ResilientOptions>,
 }
@@ -107,9 +88,8 @@ fn parse_args() -> Args {
     if !spec2000_points().iter().any(|p| p.name == point) {
         cli.fail(&format!("--point: unknown suite point {point}"));
     }
-    let modes = ["--trace", "--stages", "--timeline"];
-    if modes.iter().filter(|m| cli.has(m)).count() > 1 {
-        cli.fail("--stages, --trace and --timeline are mutually exclusive");
+    if cli.has("--trace") && cli.has("--timeline") {
+        cli.fail("--trace and --timeline are mutually exclusive");
     }
     let resilience = if cli.has("--trace") {
         cli.resilience()
@@ -123,11 +103,9 @@ fn parse_args() -> Args {
         machine: cli.machine(),
         point: point.to_string(),
         trace: cli.str("--trace").map(String::from),
-        stages: cli.has("--stages"),
         timeline: cli.str("--timeline").map(String::from),
         every: cli.value("--every").map_or(1_000, NonZeroU64::get),
         observe: cli.has("--observe"),
-        json_out: cli.str("--json-out").map(String::from),
         resilience,
     }
 }
@@ -155,74 +133,6 @@ fn expand_scheme(
         .collect()
 }
 
-/// One scheme's measurements for the machine-readable perf trajectory
-/// (`--json-out`): throughput both ways, the stepped-vs-replicated cycle
-/// split of the reused run, and the wall cost of a cycle the skipper could
-/// not replicate (the busy-cycle metric the hot-path work tracks).
-struct SchemeBench {
-    scheme: String,
-    fresh_uops_per_sec: f64,
-    reused_uops_per_sec: f64,
-    cycles: u64,
-    replicated_cycles: u64,
-    /// Skipped spans whose classification consulted the (pure) steering
-    /// policy — zero for impure policies by construction.
-    policy_stall_spans: u64,
-    ns_per_busy_cycle: f64,
-}
-
-/// Render the `--json-out` document: run parameters plus one entry per
-/// scheme and the per-scheme means. Hand-rolled JSON (the schema is flat
-/// and the repo carries no serializer dependency).
-fn render_bench_json(args: &Args, clusters: usize, rows: &[SchemeBench]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"bench\": \"throughput\",\n  \"point\": \"{}\",\n  \"clusters\": {},\n  \
-         \"uops\": {},\n  \"runs\": {},\n  \"schemes\": [",
-        args.point, clusters, args.uops, args.runs,
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"scheme\": \"{}\", \"fresh_uops_per_sec\": {:.0}, \
-             \"reused_uops_per_sec\": {:.0}, \"cycles\": {}, \"replicated_cycles\": {}, \
-             \"stepped_cycles\": {}, \"policy_stall_spans\": {}, \
-             \"ns_per_busy_cycle\": {:.1}}}{}",
-            r.scheme,
-            r.fresh_uops_per_sec,
-            r.reused_uops_per_sec,
-            r.cycles,
-            r.replicated_cycles,
-            r.cycles - r.replicated_cycles,
-            r.policy_stall_spans,
-            r.ns_per_busy_cycle,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    let n = rows.len().max(1) as f64;
-    let _ = writeln!(
-        out,
-        "  ],\n  \"mean_fresh_uops_per_sec\": {:.0},\n  \"mean_reused_uops_per_sec\": {:.0}\n}}",
-        rows.iter().map(|r| r.fresh_uops_per_sec).sum::<f64>() / n,
-        rows.iter().map(|r| r.reused_uops_per_sec).sum::<f64>() / n,
-    );
-    out
-}
-
-/// Parse the committed per-scheme mean (fresh, reused uops/s) from the
-/// first `| **mean** | … |` row of `results/BASELINES.md`, if present.
-/// Numbers may use spaces as thousands separators.
-fn committed_mean() -> Option<(f64, f64)> {
-    let text = std::fs::read_to_string(results_dir().join("BASELINES.md")).ok()?;
-    let row = text.lines().find(|l| l.starts_with("| **mean**"))?;
-    let mut nums = row.split("**").filter_map(|cell| {
-        let digits: String = cell.chars().filter(char::is_ascii_digit).collect();
-        (!digits.is_empty() && !cell.contains('%')).then(|| digits.parse::<f64>().ok())?
-    });
-    Some((nums.next()?, nums.next()?))
-}
-
 fn point_mode(args: &Args, machine: &MachineConfig) -> Result<String, String> {
     let clusters = machine.num_clusters as u32;
     let mut report = String::from(
@@ -241,7 +151,6 @@ fn point_mode(args: &Args, machine: &MachineConfig) -> Result<String, String> {
         args.every,
     );
     let mut sum_observed = 0.0f64;
-    let mut bench_rows: Vec<SchemeBench> = Vec::new();
     for config in Configuration::table3() {
         let uops = expand_scheme(&config, machine, args.uops, &args.point);
 
@@ -335,19 +244,6 @@ fn point_mode(args: &Args, machine: &MachineConfig) -> Result<String, String> {
         let reused_ups = total / reused_wall.max(1e-9);
         sum_fresh += fresh_ups;
         sum_reused += reused_ups;
-        // `ns_per_busy_cycle`: reused wall per run over the cycles the
-        // skipper had to step (diag covers the last reused run; every
-        // reused run is identical, so one run's split is the split).
-        let stepped = fresh_stats.cycles - diag.cycles;
-        bench_rows.push(SchemeBench {
-            scheme: config.name(clusters).to_string(),
-            fresh_uops_per_sec: fresh_ups,
-            reused_uops_per_sec: reused_ups,
-            cycles: fresh_stats.cycles,
-            replicated_cycles: diag.cycles,
-            policy_stall_spans: diag.policy_dependent_spans(),
-            ns_per_busy_cycle: reused_wall / args.runs as f64 / stepped.max(1) as f64 * 1e9,
-        });
         if let Some(oups) = observed_ups {
             sum_observed += oups;
             let _ = writeln!(
@@ -387,113 +283,17 @@ fn point_mode(args: &Args, machine: &MachineConfig) -> Result<String, String> {
         );
         report.push_str(&observe_report);
     }
-    if let Some(path) = &args.json_out {
-        let doc = render_bench_json(args, machine.num_clusters, &bench_rows);
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = writeln!(report, "\nbench JSON written to {path}");
-    }
-    // Delta against the committed reference (2-cluster table only — that
-    // is what BASELINES.md pins). Informational: wall-clock comparisons
-    // across hosts are noise, but on the CI runner a large regression
-    // shows up here without digging through two tables.
-    if machine.num_clusters == 2 && args.point == "gzip-1" {
-        match committed_mean() {
-            Some((base_fresh, base_reused)) => {
-                let _ = writeln!(
-                    report,
-                    "\nvs committed baseline (results/BASELINES.md, mean uops/s): \
-                     fresh {:.0} -> {:.0} ({:+.1}%), reused {:.0} -> {:.0} ({:+.1}%)",
-                    base_fresh,
-                    sum_fresh / n,
-                    (sum_fresh / n / base_fresh - 1.0) * 100.0,
-                    base_reused,
-                    sum_reused / n,
-                    (sum_reused / n / base_reused - 1.0) * 100.0,
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    report,
-                    "\n(no committed mean row found in results/BASELINES.md — delta skipped)"
-                );
-            }
-        }
-    }
     Ok(report)
 }
 
-/// `--stages`: run each Table 3 scheme through the instrumented
-/// [`SimSession::step_timed`] loop and report where the wall-clock cycle
-/// budget goes, stage by stage.
-fn stages_mode(args: &Args, machine: &MachineConfig) -> Result<String, String> {
-    let clusters = machine.num_clusters as u32;
-    let mut report = String::from("| scheme | cycles |");
-    for name in StageTimers::NAMES {
-        let _ = write!(report, " {name} |");
-    }
-    report.push_str("\n|---|---|");
-    report.push_str(&"---|".repeat(StageTimers::NUM_STAGES));
-    report.push('\n');
-    let mut session = SimSession::new(machine);
-    let mut totals = StageTimers::default();
-    for config in Configuration::table3() {
-        let uops = expand_scheme(&config, machine, args.uops, &args.point);
-        let mut trace = SliceTrace::new(&uops);
-        let mut policy = config.make_policy();
-        let mut timers = StageTimers::default();
-        for _ in 0..args.runs {
-            trace.rewind().map_err(|e| e.to_string())?;
-            session.reset(machine);
-            policy.reset();
-            loop {
-                session.step_timed(
-                    &mut trace,
-                    policy.as_mut(),
-                    &RunLimits::unlimited(),
-                    &mut timers,
-                );
-                if session.done() {
-                    break;
-                }
-            }
-        }
-        let _ = write!(report, "| {} | {} |", config.name(clusters), timers.cycles);
-        for i in 0..StageTimers::NUM_STAGES {
-            let _ = write!(report, " {:.1}% |", 100.0 * timers.share(i));
-        }
-        report.push('\n');
-        for (bucket, add) in totals.buckets.iter_mut().zip(timers.buckets) {
-            *bucket += add;
-        }
-        totals.cycles += timers.cycles;
-    }
-    let _ = write!(report, "| **all schemes** | {} |", totals.cycles);
-    for i in 0..StageTimers::NUM_STAGES {
-        let _ = write!(report, " **{:.1}%** |", 100.0 * totals.share(i));
-    }
-    let _ = writeln!(
-        report,
-        "\n\nShares are wall-clock per stage over {} run(s)/scheme at {} uops/cell \
-         ({:.0} ns/cycle all-in); the plain (untimed) step loop contains none of \
-         this instrumentation.",
-        args.runs,
-        args.uops,
-        totals.total().as_nanos() as f64 / totals.cycles.max(1) as f64,
-    );
-    Ok(report)
-}
-
-/// `--timeline FILE`: run each Table 3 scheme once through the
-/// instrumented, observed step loop and render a Chrome-trace-event
-/// timeline (loadable in `chrome://tracing` / Perfetto): per-stage
-/// wall-time slices and skipped idle spans per interval, plus counter
-/// tracks for IPC, the dispatch-stall breakdown, per-cluster occupancy and
-/// queue-depth gauges. One simulated cycle maps to one microsecond, so
-/// the timeline reads directly in cycles. Each scheme's observed stats are
-/// asserted bit-identical to an unobserved, untimed reference run.
+/// `--timeline FILE`: run each Table 3 scheme once with an interval
+/// observer attached to [`SimSession::run`] and render a Chrome-trace-event
+/// timeline (loadable in `chrome://tracing` / Perfetto): skipped idle
+/// spans, plus counter tracks for IPC, the dispatch-stall breakdown,
+/// per-cluster occupancy and queue-depth gauges. One simulated cycle maps
+/// to one microsecond, so the timeline reads directly in cycles. Each
+/// scheme's observed stats are asserted bit-identical to an unobserved
+/// reference run.
 fn timeline_mode(args: &Args, machine: &MachineConfig, out_path: &str) -> Result<String, String> {
     let clusters = machine.num_clusters as u32;
     let every = args.every;
@@ -503,19 +303,14 @@ fn timeline_mode(args: &Args, machine: &MachineConfig, out_path: &str) -> Result
     );
     for (si, config) in Configuration::table3().into_iter().enumerate() {
         let pid = si as u64 + 1;
+        let skip_tid = 0;
         let scheme = config.name(clusters);
         trace_out.process_name(pid, &format!("{scheme} · {}", args.point));
-        let skip_tid = StageTimers::NUM_STAGES as u64;
         trace_out.thread_name(pid, skip_tid, "skipped spans");
-        trace_out.thread_sort_index(pid, skip_tid, 0);
-        for (i, name) in StageTimers::NAMES.iter().enumerate() {
-            trace_out.thread_name(pid, i as u64, name);
-            trace_out.thread_sort_index(pid, i as u64, i as u64 + 1);
-        }
 
         let uops = expand_scheme(&config, machine, args.uops, &args.point);
-        // Unobserved, untimed reference: the bit-identity check below is
-        // the tool-level restatement of the observer's hard contract.
+        // Unobserved reference: the bit-identity check below is the
+        // tool-level restatement of the observer's hard contract.
         let reference = {
             let mut trace = SliceTrace::new(&uops);
             let mut policy = config.make_policy();
@@ -527,61 +322,13 @@ fn timeline_mode(args: &Args, machine: &MachineConfig, out_path: &str) -> Result
         session.attach_observer(every, Box::new(handle.clone()));
         let mut trace = SliceTrace::new(&uops);
         let mut policy = config.make_policy();
-        policy.reset();
-        let mut timers = StageTimers::default();
-        // Cumulative stage-timer snapshots at interval boundaries, so each
-        // interval's slices reflect where *that* interval's host time went.
-        let mut marks: Vec<(u64, StageTimers)> = Vec::new();
-        let mut next_mark = every;
-        loop {
-            session.step_timed(
-                &mut trace,
-                policy.as_mut(),
-                &RunLimits::unlimited(),
-                &mut timers,
-            );
-            while session.cycle() >= next_mark {
-                marks.push((next_mark, timers.clone()));
-                next_mark += every;
-            }
-            if session.done() {
-                break;
-            }
-        }
-        session.flush_observer();
-        let observed = session.stats().clone();
+        let observed = session.run(&mut trace, policy.as_mut(), &RunLimits::unlimited());
         if observed != reference {
             return Err(format!(
                 "{scheme}: observed run diverged from unobserved reference"
             ));
         }
-        if marks.last().map(|(c, _)| *c) != Some(observed.cycles) {
-            marks.push((observed.cycles, timers.clone()));
-        }
-        let diag = session.skip_diag().clone();
-
-        // Per-interval stage slices: the interval's simulated length split
-        // by that interval's per-stage host-time shares.
-        let mut prev = (0u64, StageTimers::default());
-        for (cycle, cum) in marks {
-            let interval = cycle - prev.0;
-            let deltas: Vec<std::time::Duration> = cum
-                .buckets
-                .iter()
-                .zip(&prev.1.buckets)
-                .map(|(a, b)| *a - *b)
-                .collect();
-            let total: f64 = deltas.iter().map(std::time::Duration::as_secs_f64).sum();
-            if total > 0.0 {
-                for (i, d) in deltas.iter().enumerate() {
-                    let dur = (interval as f64 * d.as_secs_f64() / total) as u64;
-                    if dur > 0 {
-                        trace_out.complete(StageTimers::NAMES[i], pid, i as u64, prev.0, dur, &[]);
-                    }
-                }
-            }
-            prev = (cycle, cum);
-        }
+        let diag = session.skip_diag();
 
         handle.with(|sink| {
             for span in &sink.skip_spans {
@@ -698,14 +445,12 @@ fn run(args: &Args) -> Result<(), String> {
     let machine = &args.machine;
     let header = format!(
         "# Simulation throughput ({} clusters, {} point, {} uops/cell, {} runs/scheme)\n\n\
-         Wall-clock numbers; compare only against runs on the same host.\n\
-         Committed reference: results/BASELINES.md.\n\n",
+         Wall-clock numbers; compare only against runs on the same host.\n\n",
         machine.num_clusters, args.point, args.uops, args.runs,
     );
     let body = match (&args.trace, &args.timeline) {
         (Some(file), _) => trace_mode(args, machine, file)?,
         (None, Some(out)) => timeline_mode(args, machine, out)?,
-        (None, None) if args.stages => stages_mode(args, machine)?,
         (None, None) => point_mode(args, machine)?,
     };
     let out = format!("{header}{body}");

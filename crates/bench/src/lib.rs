@@ -1,16 +1,21 @@
 //! # virtclust-bench
 //!
 //! The harness that regenerates every table and figure of Cai et al.,
-//! IPDPS 2008, plus the Criterion micro-benchmarks under `benches/`. Six
-//! binaries live under `src/bin/`:
+//! IPDPS 2008. Six binaries live under `src/bin/`:
 //!
 //! * `paper` — the tables, figures and ablations, one subcommand each;
 //! * `probe_ipc` — per-point IPC and bottleneck stats, and the JSON matrix
 //!   the CI bit-identity gate diffs;
-//! * `throughput` — simulator throughput, stage shares and timelines;
+//! * `throughput` — fresh vs reused session throughput, skip diagnostics
+//!   and timelines;
 //! * `trace_replay` — trace capture, replay and batched replay;
 //! * `serve` and `loadgen` — the evaluation-service daemon and its load
 //!   generator.
+//!
+//! Performance is measured by the benchmark under `vcbench/` (declared in
+//! `BENCHMARK.json`), end to end and per layer under one schema; the
+//! wall-clock figures `throughput` and `loadgen` print are quick looks on
+//! one host, not a reference.
 //!
 //! Each binary declares its flags to one parser ([`Cli`]). Parsing is
 //! strict: an unknown, repeated or valueless flag, an unexpected operand,
@@ -221,20 +226,16 @@ impl Args {
     }
 }
 
-/// Locate the workspace `results/` directory (next to the workspace root's
-/// Cargo.toml), creating it if needed.
-pub fn results_dir() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop(); // crates/
-    dir.pop(); // workspace root
-    dir.push("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Write `content` to `results/<name>`, returning the path.
+/// Write `content` to `<name>` in the workspace `results/` directory
+/// (next to the workspace root's Cargo.toml, created if needed), returning
+/// the path.
 pub fn write_result(name: &str, content: &str) -> PathBuf {
-    let path = results_dir().join(name);
+    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    path.pop(); // crates/
+    path.pop(); // workspace root
+    path.push("results");
+    std::fs::create_dir_all(&path).expect("create results dir");
+    path.push(name);
     std::fs::write(&path, content).expect("write result file");
     path
 }

@@ -57,6 +57,9 @@ fn unknown_flags_are_usage_errors() {
     usage_error(LOADGEN, "--unix /no.sock --verfy", "--verfy");
     usage_error(SERVE, "--qouta 2 --cluster 4", "--qouta");
     usage_error(PAPER, "table1 --cluster 4", "--cluster");
+    usage_error(THROUGHPUT, "--stages", "--stages");
+    usage_error(THROUGHPUT, "--json-out x", "--json-out");
+    usage_error(PROBE_IPC, "--json --metrics-out x", "--metrics-out");
 }
 
 #[test]
@@ -121,5 +124,5 @@ fn commands_operands_and_modes_are_checked() {
     usage_error(TRACE_REPLAY, "compare", "compare needs <file>");
     usage_error(TRACE_REPLAY, "replay TRACE --retries 1", "--retries");
     usage_error(PROBE_IPC, "--point mcf", "--point");
-    usage_error(THROUGHPUT, "--stages --timeline t.json", "--timeline");
+    usage_error(THROUGHPUT, "--trace TRACE --timeline t.json", "--timeline");
 }

@@ -95,7 +95,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use virtclust_obs::{Counter, Log2Hist};
+use virtclust_obs::Counter;
 use virtclust_sim::{CancelToken, RunLimits, SimSession, SimStats, StopCause};
 use virtclust_trace::{TraceError, TraceReader};
 use virtclust_uarch::{MachineConfig, Program};
@@ -414,14 +414,10 @@ pub struct JobMetrics {
     /// Time the job spent running on its worker (same figure as
     /// [`CellOutcome::wall`]).
     pub run: Duration,
-    /// Time from batch start until the job finished — the job's latency,
-    /// the quantity the async-service success metric ("sustained uops/s
-    /// and p99 job latency") is defined over.
-    pub done_at: Duration,
 }
 
 /// Batch-level telemetry from [`EvalDriver::run_with_metrics`]: per-job
-/// spans, per-worker utilization, and the job-latency distribution.
+/// spans and per-worker utilization.
 #[derive(Debug)]
 pub struct BatchMetrics {
     /// Wall-clock time of the whole batch.
@@ -430,15 +426,6 @@ pub struct BatchMetrics {
     pub workers: usize,
     /// Per-job telemetry, in job order (parallel to the outcome vector).
     pub jobs: Vec<JobMetrics>,
-    /// Job-latency histogram over **successful** jobs only (`done_at`, in
-    /// microseconds). Failed/cancelled cells go to
-    /// [`failed_latency_hist`](BatchMetrics::failed_latency_hist) so that
-    /// the p99 the async-service metric is defined over is not dragged
-    /// around by instantly-resolving errors or deadline-length failures.
-    pub latency_hist: Log2Hist,
-    /// Job-latency histogram over failed/cancelled jobs (`done_at`, in
-    /// microseconds).
-    pub failed_latency_hist: Log2Hist,
 }
 
 impl BatchMetrics {
@@ -452,12 +439,6 @@ impl BatchMetrics {
         }
         let busy: f64 = self.jobs.iter().map(|m| m.run.as_secs_f64()).sum();
         (busy / budget).min(1.0)
-    }
-
-    /// Latency at quantile `q` over **successful** jobs (microseconds,
-    /// log2-bucket resolution). Unaffected by failed or cancelled cells.
-    pub fn latency_percentile(&self, q: f64) -> u64 {
-        self.latency_hist.percentile(q)
     }
 }
 
@@ -485,7 +466,7 @@ pub struct BatchReport {
     pub cancelled: Counter,
     /// Jobs whose final outcome is [`JobError::DeadlineExceeded`].
     pub deadline_exceeded: Counter,
-    /// Batch telemetry (success/failure-split latency histograms).
+    /// Batch telemetry (per-job spans, worker utilization).
     pub metrics: BatchMetrics,
 }
 
@@ -603,11 +584,10 @@ impl EvalDriver {
     }
 
     /// [`EvalDriver::run_streaming`] plus batch telemetry: per-job
-    /// queue-wait/run spans, which worker ran each job, per-worker
-    /// utilization, and success/failure-split job-latency histograms. The
-    /// simulation outcomes are identical to the other entry points (all
-    /// of them run through here); the metrics cost per job is two clock
-    /// reads.
+    /// queue-wait/run spans, which worker ran each job, and per-worker
+    /// utilization. The simulation outcomes are identical to the other
+    /// entry points (all of them run through here); the spans are the
+    /// pickup and run times the workers record anyway.
     pub fn run_with_metrics(
         &self,
         jobs: &[EvalJob],
@@ -760,7 +740,6 @@ impl EvalDriver {
                     worker: done.worker,
                     queued: done.picked_at.saturating_duration_since(t0),
                     run: done.outcome.wall,
-                    done_at: t0.elapsed(),
                 };
                 let mut slots = slots
                     .lock()
@@ -785,8 +764,6 @@ impl EvalDriver {
         let mut outcomes = Vec::with_capacity(n_jobs);
         let mut job_metrics = Vec::with_capacity(n_jobs);
         let mut tallies = Vec::with_capacity(n_jobs);
-        let mut latency_hist = Log2Hist::new();
-        let mut failed_latency_hist = Log2Hist::new();
         for slot in slots {
             let (outcome, metrics, tally) = slot.unwrap_or_else(|| {
                 // Defensive: every code path above produces an outcome;
@@ -803,16 +780,10 @@ impl EvalDriver {
                         worker: 0,
                         queued: Duration::ZERO,
                         run: Duration::ZERO,
-                        done_at: wall,
                     },
                     JobTally::default(),
                 )
             });
-            if outcome.stats.is_ok() {
-                latency_hist.record(metrics.done_at.as_micros() as u64);
-            } else {
-                failed_latency_hist.record(metrics.done_at.as_micros() as u64);
-            }
             outcomes.push(outcome);
             job_metrics.push(metrics);
             tallies.push(tally);
@@ -823,8 +794,6 @@ impl EvalDriver {
                 wall,
                 workers: threads,
                 jobs: job_metrics,
-                latency_hist,
-                failed_latency_hist,
             },
             tallies,
         )
@@ -1447,16 +1416,11 @@ mod tests {
 
         assert_eq!(metrics.workers, 2);
         assert_eq!(metrics.jobs.len(), jobs.len());
-        assert_eq!(metrics.latency_hist.count(), jobs.len() as u64);
-        assert_eq!(metrics.failed_latency_hist.count(), 0);
         for m in &metrics.jobs {
             assert!(m.worker < metrics.workers);
-            assert!(m.done_at >= m.queued, "finish after pickup");
-            assert!(m.done_at <= metrics.wall + Duration::from_millis(1));
         }
         let u = metrics.utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
-        assert!(metrics.latency_percentile(0.99) >= metrics.latency_percentile(0.5));
     }
 
     #[test]
@@ -1484,40 +1448,11 @@ mod tests {
     }
 
     #[test]
-    fn failed_jobs_do_not_pollute_the_success_latency_hist() {
-        let machine = MachineConfig::paper_2cluster();
-        let mut jobs = vec![EvalJob::Trace {
-            path: PathBuf::from("/nonexistent/ghost.vctb"),
-            config: Configuration::Op,
-            limits: RunLimits::unlimited(),
-        }];
-        for config in Configuration::table3() {
-            jobs.push(EvalJob::Point {
-                point: point("gzip-1"),
-                config,
-                uops: 400,
-            });
-        }
-        let (outcomes, metrics) = EvalDriver::new(&machine)
-            .threads(2)
-            .run_with_metrics(&jobs, |_, _| {});
-        let ok = outcomes.iter().filter(|o| o.stats.is_ok()).count();
-        assert_eq!(ok, jobs.len() - 1);
-        // The p99-bearing histogram is defined over successes only; the
-        // instantly-resolving failure lands in the failed hist instead of
-        // dragging the success percentiles toward zero.
-        assert_eq!(metrics.latency_hist.count(), ok as u64);
-        assert_eq!(metrics.failed_latency_hist.count(), 1);
-        assert!(metrics.latency_percentile(0.5) > 0);
-    }
-
-    #[test]
     fn all_failed_batch_metrics_stay_well_formed() {
         // Regression for the all-fail chaos aggregate: when every job
-        // fails, the success-side histogram is empty, and every derived
-        // quantity (percentiles, utilization) must degrade to 0 instead
-        // of dividing by zero or panicking — the aggregate rows the CLI
-        // tools print are built from exactly these calls.
+        // fails, every derived quantity (utilization, uops/s, the summary
+        // line) must stay finite instead of dividing by zero or panicking
+        // — the CLI tools print exactly these.
         let machine = MachineConfig::paper_2cluster();
         let jobs: Vec<EvalJob> = Configuration::table3()
             .into_iter()
@@ -1536,12 +1471,7 @@ mod tests {
         assert!(outcomes.iter().all(|o| o.stats.is_err()), "chaos fails all");
         assert_eq!(report.ok.get(), 0);
         assert_eq!(report.failed.get(), jobs.len() as u64);
-        let m = &report.metrics;
-        assert_eq!(m.latency_hist.count(), 0);
-        assert_eq!(m.failed_latency_hist.count(), jobs.len() as u64);
-        assert_eq!(m.latency_percentile(0.5), 0, "empty hist percentile is 0");
-        assert_eq!(m.latency_percentile(0.99), 0);
-        let u = m.utilization();
+        let u = report.metrics.utilization();
         assert!(u.is_finite() && (0.0..=1.0).contains(&u));
         for o in &outcomes {
             assert_eq!(o.uops_per_sec(), 0.0, "failed cells report 0 uops/s");

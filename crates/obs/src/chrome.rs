@@ -176,19 +176,6 @@ impl ChromeTrace {
         );
     }
 
-    /// Order a thread track within its process (lower sorts first).
-    pub fn thread_sort_index(&mut self, pid: u64, tid: u64, index: u64) {
-        self.push_event(
-            'M',
-            "thread_sort_index",
-            pid,
-            tid,
-            0,
-            None,
-            &[("sort_index", ArgValue::Int(index))],
-        );
-    }
-
     /// Serialize to the `{"traceEvents":[...]}` object form.
     pub fn to_json(&self) -> String {
         let mut out =
@@ -257,15 +244,14 @@ mod tests {
         let mut t = ChromeTrace::new();
         t.process_name(3, "scheme op");
         t.thread_name(3, 1, "skip");
-        t.thread_sort_index(3, 1, 9);
         t.instant("deadlock?", 3, 1, 77);
         let json = t.to_json();
         assert!(json.contains("\"name\":\"process_name\""));
         assert!(json.contains("\"args\":{\"name\":\"scheme op\"}"));
-        assert!(json.contains("\"args\":{\"sort_index\":9}"));
+        assert!(json.contains("\"args\":{\"name\":\"skip\"}"));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"s\":\"t\""));
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
     }
 

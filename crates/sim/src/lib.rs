@@ -65,7 +65,7 @@ pub use cancel::{CancelGroup, CancelToken, StopCause};
 pub use lsq::{LoadCheck, Lsq};
 pub use predictor::{LocalHistory, TraceCache};
 pub use queues::{CopyOp, CopySlab, IssueQueue, LinkArbiter};
-pub use session::{RunLimits, SimSession, SkipDiag, StageTimers};
+pub use session::{RunLimits, SimSession, SkipDiag};
 pub use stats::{ClusterStats, IdleCycleKind, SimStats, StallReason};
 pub use steering::{SteerDecision, SteerSummary, SteerView, SteeringPolicy};
 pub use value::{

@@ -271,66 +271,6 @@ struct DispatchPlan {
 /// simulator declares a deadlock — this is a bug, never a workload property.
 const DEADLOCK_HORIZON: u64 = 1_000_000;
 
-/// Wall-clock time spent in each pipeline stage, accumulated by
-/// [`SimSession::step_timed`]. Diagnostics only: the untimed
-/// [`SimSession::step`] monomorphizes the timing code away entirely
-/// (zero-cost when off), so enabling this is an explicit opt-in per step
-/// loop (`throughput --stages`).
-#[derive(Debug, Clone, Default)]
-pub struct StageTimers {
-    /// One bucket per stage, ordered as [`StageTimers::NAMES`].
-    pub buckets: [std::time::Duration; StageTimers::NUM_STAGES],
-    /// Cycles accumulated into the buckets.
-    pub cycles: u64,
-}
-
-impl StageTimers {
-    /// Number of timed buckets per cycle: the seven pipeline stages, the
-    /// stale-view bucket, and the skip bucket.
-    pub const NUM_STAGES: usize = 9;
-
-    /// Bucket index of the stale-view bucket: host time spent advancing
-    /// the steering unit's stale location view (the delay line of
-    /// location epochs). Split out of `dispatch/steer` so the view's
-    /// upkeep is visible instead of silently inflating the dispatch share.
-    pub const STALE_VIEW: usize = 5;
-
-    /// Bucket index of the skip bucket: host time spent probing for and
-    /// applying idle-span skips. On idle-heavy workloads this is where
-    /// most of the wall clock goes, and without it stage shares summed to
-    /// well under 100 % of wall time.
-    pub const SKIP: usize = 8;
-
-    /// Stage names, in the order [`SimSession::step`] runs them.
-    pub const NAMES: [&'static str; Self::NUM_STAGES] = [
-        "events+wakeup",
-        "commit",
-        "store-drain",
-        "memory",
-        "issue",
-        "stale-view",
-        "dispatch/steer",
-        "fetch",
-        "skip",
-    ];
-
-    /// Total wall time across all buckets.
-    pub fn total(&self) -> std::time::Duration {
-        self.buckets.iter().sum()
-    }
-
-    /// Fraction of the total spent in bucket `i` (0.0 when nothing has
-    /// been accumulated yet).
-    pub fn share(&self, i: usize) -> f64 {
-        let total = self.total().as_secs_f64();
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.buckets[i].as_secs_f64() / total
-        }
-    }
-}
-
 /// Host-side diagnostics of the idle-cycle skipper — telemetry that cannot
 /// live in [`SimStats`] because skipping must leave statistics
 /// bit-identical to stepping. Cleared by [`SimSession::reset`], read via
@@ -819,20 +759,11 @@ impl SimSession {
         self.observer = Some(obs);
     }
 
-    /// Detach the interval observer, if any. Pending partial-interval data
-    /// is dropped; flush first ([`SimSession::run`] does, manual step
-    /// loops call [`SimSession::flush_observer`]) to keep every delta.
+    /// Detach the interval observer, if any. [`SimSession::run`] flushes
+    /// the trailing partial interval before it returns; a manual
+    /// [`SimSession::step`] loop's trailing interval is dropped.
     pub fn detach_observer(&mut self) {
         self.observer = None;
-    }
-
-    /// Emit the trailing partial interval (if any) and fire
-    /// [`ObsSink::on_finish`]. [`SimSession::run`] calls this
-    /// automatically; manual [`SimSession::step`] loops call it once the
-    /// loop ends. Idempotent at a given cycle: a second call finds no new
-    /// cycles to report and only re-fires `on_finish`.
-    pub fn flush_observer(&mut self) {
-        self.observer_flush();
     }
 
     /// Whether an interval observer is attached.
@@ -1357,9 +1288,8 @@ impl SimSession {
 
     /// Advance the parallel-steering delay line by one cycle: push the
     /// live location epoch and, once the ring covers `fetch_to_dispatch`
-    /// cycles, pop the oldest epoch into `stale_loc`. Split from
-    /// [`SimSession::dispatch`] so the timed step attributes the delay
-    /// line's upkeep to its own [`StageTimers::STALE_VIEW`] bucket.
+    /// cycles, pop the oldest epoch into `stale_loc`. Runs every stepped
+    /// cycle, just before [`SimSession::dispatch`].
     fn roll_stale_epoch(&mut self) {
         // The parallel-steering snapshot: a pipelined (non-serializing)
         // steering unit computes its decisions while the bundle traverses
@@ -1697,60 +1627,7 @@ impl SimSession {
         policy: &mut dyn SteeringPolicy,
         limits: &RunLimits,
     ) {
-        self.step_impl::<false>(trace, policy, limits, &mut None);
-    }
-
-    /// Advance the machine, accumulating per-stage wall time into
-    /// `timers`. Identical simulated behaviour to [`SimSession::step`]
-    /// (the stage sequence is shared code); only the host-time bookkeeping
-    /// differs. Idle-span skips (and the per-step skip probe) land in the
-    /// dedicated [`StageTimers::SKIP`] bucket, so stage shares account for
-    /// 100 % of wall time even on idle-heavy workloads where most cycles
-    /// are skipped, and `timers.cycles` still equals the simulated cycle
-    /// count (a skipped span contributes its whole length).
-    pub fn step_timed(
-        &mut self,
-        trace: &mut dyn TraceSource,
-        policy: &mut dyn SteeringPolicy,
-        limits: &RunLimits,
-        timers: &mut StageTimers,
-    ) {
-        self.step_impl::<true>(trace, policy, limits, &mut Some(timers));
-    }
-
-    /// Record the time since `*t0` into bucket `i` and restart the lap.
-    #[inline]
-    fn lap(
-        timers: &mut Option<&mut StageTimers>,
-        t0: &mut Option<std::time::Instant>,
-        bucket: usize,
-    ) {
-        if let (Some(t), Some(prev)) = (timers.as_deref_mut(), *t0) {
-            let now = std::time::Instant::now();
-            t.buckets[bucket] += now.duration_since(prev);
-            *t0 = Some(now);
-        }
-    }
-
-    /// One step of the machine. `TIMED` is a compile-time switch: the
-    /// untimed instantiation contains no timing code at all. Both paths
-    /// skip provably idle spans in O(1) (see [`SimSession::idle_span`]);
-    /// the timed path laps the probe and the skip application into the
-    /// [`StageTimers::SKIP`] bucket and credits a skipped span's full
-    /// length to `timers.cycles` — bit-identical statistics either way.
-    fn step_impl<const TIMED: bool>(
-        &mut self,
-        trace: &mut dyn TraceSource,
-        policy: &mut dyn SteeringPolicy,
-        limits: &RunLimits,
-        timers: &mut Option<&mut StageTimers>,
-    ) {
         if self.skip_enabled {
-            let mut t0 = if TIMED {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
             if let Some((span, kind)) = self.idle_span(policy, limits) {
                 // Interrupt sources are polled every CHECK_INTERVAL_CYCLES
                 // by the run loop, but a span would advance `now` past
@@ -1767,26 +1644,10 @@ impl SimSession {
                 self.skip_idle_span(span, kind);
                 #[cfg(debug_assertions)]
                 self.skip_idle_span_mirrored(span, kind, trace, policy, limits);
-                if TIMED {
-                    Self::lap(timers, &mut t0, StageTimers::SKIP);
-                    if let Some(t) = timers.as_deref_mut() {
-                        t.cycles += span;
-                    }
-                }
                 return;
             }
-            // The probe said "not idle": its cost still belongs to the
-            // skip bucket, not to whichever stage runs first.
-            if TIMED {
-                Self::lap(timers, &mut t0, StageTimers::SKIP);
-            }
         }
-        if TIMED {
-            if let Some(t) = timers.as_deref_mut() {
-                t.cycles += 1;
-            }
-        }
-        self.cycle_body::<TIMED>(trace, policy, limits, timers);
+        self.cycle_body(trace, policy, limits);
     }
 
     /// Decide whether this cycle is provably idle and, if so, for how
@@ -2116,7 +1977,7 @@ impl SimSession {
         );
         let target = self.now + span;
         while self.now < target {
-            self.cycle_body::<false>(trace, policy, limits, &mut None);
+            self.cycle_body(trace, policy, limits);
         }
         assert_eq!(
             self.stats,
@@ -2139,55 +2000,25 @@ impl SimSession {
         );
     }
 
-    /// The one cycle of the machine (shared by stepping, the timed path
-    /// and the debug skip mirror).
-    fn cycle_body<const TIMED: bool>(
+    /// The one cycle of the machine (shared by stepping and the debug skip
+    /// mirror).
+    fn cycle_body(
         &mut self,
         trace: &mut dyn TraceSource,
         policy: &mut dyn SteeringPolicy,
         limits: &RunLimits,
-        timers: &mut Option<&mut StageTimers>,
     ) {
         self.mem.begin_cycle();
         self.links.begin_cycle();
 
-        let mut t0 = if TIMED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
         self.process_events();
-        if TIMED {
-            Self::lap(timers, &mut t0, 0);
-        }
         self.commit();
-        if TIMED {
-            Self::lap(timers, &mut t0, 1);
-        }
         self.drain_stores();
-        if TIMED {
-            Self::lap(timers, &mut t0, 2);
-        }
         self.memory_stage();
-        if TIMED {
-            Self::lap(timers, &mut t0, 3);
-        }
         self.issue();
-        if TIMED {
-            Self::lap(timers, &mut t0, 4);
-        }
         self.roll_stale_epoch();
-        if TIMED {
-            Self::lap(timers, &mut t0, StageTimers::STALE_VIEW);
-        }
         self.dispatch(policy);
-        if TIMED {
-            Self::lap(timers, &mut t0, 6);
-        }
         self.fetch(trace, limits);
-        if TIMED {
-            Self::lap(timers, &mut t0, 7);
-        }
 
         for (c, s) in self.stats.clusters.iter_mut().enumerate() {
             s.occupancy_integral += u64::from(self.inflight[c]);
@@ -2244,7 +2075,7 @@ impl SimSession {
     /// Flush the trailing partial interval (if the run did not end exactly
     /// on a boundary) and fire [`ObsSink::on_finish`] with the final
     /// stats. Called by [`SimSession::run`] before the stats are taken.
-    fn observer_flush(&mut self) {
+    fn flush_observer(&mut self) {
         let Some(mut obs) = self.observer.take() else {
             return;
         };
@@ -2583,38 +2414,6 @@ mod tests {
     }
 
     #[test]
-    fn step_timed_is_bit_identical_to_step_and_fills_buckets() {
-        let region = mixed_region();
-        let uops = expand(&region, 80);
-        let cfg = MachineConfig::default();
-        let untimed = {
-            let mut trace = SliceTrace::new(&uops);
-            SimSession::new(&cfg).run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited())
-        };
-        let mut session = SimSession::new(&cfg);
-        let mut trace = SliceTrace::new(&uops);
-        let mut policy = RoundRobin(0);
-        policy.reset();
-        let mut timers = StageTimers::default();
-        loop {
-            session.step_timed(
-                &mut trace,
-                &mut policy,
-                &RunLimits::unlimited(),
-                &mut timers,
-            );
-            if session.done() {
-                break;
-            }
-        }
-        assert_eq!(session.stats().clone(), untimed, "timing must not perturb");
-        assert_eq!(timers.cycles, untimed.cycles);
-        assert!(timers.total() > std::time::Duration::ZERO);
-        let share_sum: f64 = (0..StageTimers::NUM_STAGES).map(|i| timers.share(i)).sum();
-        assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to 1");
-    }
-
-    #[test]
     fn wakeup_state_drains_at_completion_and_clears_on_reset() {
         let region = mixed_region();
         let uops = expand(&region, 60);
@@ -2907,42 +2706,5 @@ mod tests {
         let (session, _) = run(false);
         assert_eq!(session.skip_diag().spans, 0);
         assert_eq!(session.skip_diag().cycles, 0);
-    }
-
-    #[test]
-    fn step_timed_skips_into_the_skip_bucket() {
-        let uops = idle_heavy_uops(30);
-        let cfg = MachineConfig::default();
-        let mut session = SimSession::new(&cfg);
-        session.set_cycle_skipping(true);
-        let mut trace = SliceTrace::new(&uops);
-        let mut policy = RoundRobin(0);
-        policy.reset();
-        let mut timers = StageTimers::default();
-        let mut steps = 0u64;
-        loop {
-            session.step_timed(
-                &mut trace,
-                &mut policy,
-                &RunLimits::unlimited(),
-                &mut timers,
-            );
-            steps += 1;
-            if session.done() {
-                break;
-            }
-        }
-        let cycles = session.stats().cycles;
-        assert_eq!(
-            timers.cycles, cycles,
-            "skipped spans credit their full length"
-        );
-        assert!(steps < cycles, "timed path must actually skip");
-        assert!(
-            timers.buckets[StageTimers::SKIP] > std::time::Duration::ZERO,
-            "skip bucket must accumulate"
-        );
-        let share_sum: f64 = (0..StageTimers::NUM_STAGES).map(|i| timers.share(i)).sum();
-        assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to 1 with skip");
     }
 }

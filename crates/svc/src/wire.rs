@@ -122,6 +122,15 @@ impl std::fmt::Display for BusyReason {
     }
 }
 
+/// The largest micro-op budget a [`JobSpec::Point`] or [`JobSpec::Kernel`]
+/// may ask for: the paper's PinPoints slice length. Their expanders never
+/// end, so the budget alone bounds the run, and `Shutdown` waits for
+/// running jobs: one uncapped submit could pin a worker and keep the
+/// daemon from ever shutting down. [`resolve_spec`] refuses a budget past
+/// the cap; [`JobSpec::Trace`] jobs are bounded by their file and stay
+/// uncapped.
+pub const MAX_JOB_UOPS: u64 = 10_000_000;
+
 /// A job as it travels on the wire: names and paths, resolved server-side.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
@@ -134,7 +143,7 @@ pub enum JobSpec {
         /// ablation schemes `op-parallel`, `op-nostall` and `modN` run
         /// over the wire too.
         scheme: String,
-        /// Micro-op budget.
+        /// Micro-op budget, at most [`MAX_JOB_UOPS`].
         uops: u64,
     },
     /// An imported kernel file expanded with the synthetic dynamic model.
@@ -145,7 +154,7 @@ pub enum JobSpec {
         seed: u64,
         /// Scheme name.
         scheme: String,
-        /// Micro-op budget.
+        /// Micro-op budget, at most [`MAX_JOB_UOPS`].
         uops: u64,
     },
     /// Replay of a stored `.vct`/`.vctb` trace file (server-side path).
@@ -272,10 +281,21 @@ pub fn stats_digest(stats: &SimStats) -> u64 {
 
 /// Resolve a wire [`JobSpec`] into a runnable [`EvalJob`] against this
 /// server's suite, kernel importer and filesystem. Errors are returned as
-/// the string the client will see in its [`WireResult`].
+/// the string the client will see in its [`WireResult`]. A point or
+/// kernel budget past [`MAX_JOB_UOPS`] is refused before any file is read.
 pub fn resolve_spec(spec: &JobSpec) -> Result<EvalJob, String> {
+    let capped = |uops: u64| {
+        if uops > MAX_JOB_UOPS {
+            Err(format!(
+                "budget of {uops} uops exceeds MAX_JOB_UOPS ({MAX_JOB_UOPS})"
+            ))
+        } else {
+            Ok(uops)
+        }
+    };
     match spec {
         JobSpec::Point { name, scheme, uops } => {
+            let uops = capped(*uops)?;
             let config: Configuration = scheme.parse()?;
             // Built once per process: every reader thread resolves its
             // point submits against the same 40 points.
@@ -288,7 +308,7 @@ pub fn resolve_spec(spec: &JobSpec) -> Result<EvalJob, String> {
             Ok(EvalJob::Point {
                 point: point.clone(),
                 config,
-                uops: *uops,
+                uops,
             })
         }
         JobSpec::Kernel {
@@ -297,6 +317,7 @@ pub fn resolve_spec(spec: &JobSpec) -> Result<EvalJob, String> {
             scheme,
             uops,
         } => {
+            let uops = capped(*uops)?;
             let config: Configuration = scheme.parse()?;
             let program = import_kernel_file(path).map_err(|e| format!("kernel '{path}': {e}"))?;
             Ok(EvalJob::Kernel {
@@ -304,7 +325,7 @@ pub fn resolve_spec(spec: &JobSpec) -> Result<EvalJob, String> {
                 params: KernelParams::base_int(),
                 seed: *seed,
                 config,
-                uops: *uops,
+                uops,
             })
         }
         JobSpec::Trace {
@@ -725,6 +746,25 @@ mod tests {
         })
         .unwrap_err()
         .contains("unknown scheme"));
+
+        // Point and kernel budgets are capped; the kernel is refused
+        // before its (missing) file is read.
+        let point = |uops| JobSpec::Point {
+            name: "mcf".into(),
+            scheme: "OP".into(),
+            uops,
+        };
+        assert!(resolve_spec(&point(MAX_JOB_UOPS)).is_ok());
+        let err = resolve_spec(&point(MAX_JOB_UOPS + 1)).unwrap_err();
+        assert!(err.contains("MAX_JOB_UOPS"), "{err}");
+        let err = resolve_spec(&JobSpec::Kernel {
+            path: "/nonexistent/k.kernel".into(),
+            seed: 1,
+            scheme: "OP".into(),
+            uops: u64::MAX,
+        })
+        .unwrap_err();
+        assert!(err.contains("MAX_JOB_UOPS"), "{err}");
     }
 
     #[test]
