@@ -126,3 +126,24 @@ fn commands_operands_and_modes_are_checked() {
     usage_error(PROBE_IPC, "--point mcf", "--point");
     usage_error(THROUGHPUT, "--trace TRACE --timeline t.json", "--timeline");
 }
+
+#[test]
+fn results_are_written_under_the_working_directory() {
+    let dir = std::env::temp_dir().join(format!("virtclust-cli-cwd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(PAPER)
+        .arg("table2")
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "paper table2: {stderr}");
+    let written = std::fs::read_to_string(dir.join("results/table2.md"))
+        .unwrap_or_else(|e| panic!("no results/table2.md under {}: {e}", dir.display()));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !written.is_empty() && stdout.contains(&written),
+        "{written}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -12,15 +12,16 @@
 //! * each worker owns one [`SimSession`], reset — not reallocated — per
 //!   cell;
 //! * each drain shares one compile cache across its workers: a repeated
-//!   suite-point job reuses the finished stats of its first run, and a
-//!   kernel or trace program's compiler pass runs once per (program,
-//!   configuration) key, later jobs reusing the pass's steering hints
-//!   (both bounded, cleared when full; see
+//!   suite-point or stored-trace job reuses the finished stats of its
+//!   first run, and a kernel or trace program's compiler pass runs once
+//!   per (program, configuration) key, later jobs reusing the pass's
+//!   steering hints (both bounded, cleared when full; see
 //!   [`drain_source`](EvalDriver::drain_source));
 //! * each worker caches up to 32 open [`TraceReader`]s, so a `.vct`/`.vctb`
 //!   file is parsed once and then [`rewound`](TraceReader::rewind) per
-//!   cell (with [`TraceReader::set_program`] swapping the steering hints
-//!   per configuration); past the cap the worker's reader cache clears;
+//!   simulated cell (with [`TraceReader::set_program`] swapping the
+//!   steering hints per configuration) while its path still names the file
+//!   the reader opened; past the cap the worker's reader cache clears;
 //! * jobs are heterogeneous ([`EvalJob`]): generated suite points, imported
 //!   kernel programs, and stored-trace replays mix freely in one queue;
 //! * completion streams through an `on_cell` callback as cells finish
@@ -85,6 +86,7 @@
 
 use std::any::Any;
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
@@ -101,7 +103,7 @@ use virtclust_trace::{TraceError, TraceReader};
 use virtclust_uarch::{MachineConfig, Program};
 use virtclust_workloads::{KernelParams, TraceExpander, TracePoint};
 
-use crate::compile::{CompileCache, RunKey};
+use crate::compile::{CompileCache, FileId, RunKey};
 use crate::experiment::{run_point_on, Configuration};
 use crate::fault;
 
@@ -139,9 +141,14 @@ pub enum EvalJob {
     /// Replay of a stored `.vct`/`.vctb` trace, exactly as
     /// [`crate::replay_trace`] would: clear the embedded program's hints,
     /// apply the configuration's pass, stream the stored dynamic facts.
-    /// Workers keep the reader open across jobs and rewind it, so a file
-    /// is parsed once per worker no matter how many configurations replay
-    /// it (while it stays among the worker's 32 open readers).
+    /// The path must name a regular file; anything else fails at once
+    /// with a permanent error, before any `open`. A drain simulates each
+    /// (file, configuration, limits) key once and answers repeats from its
+    /// result table; the file is told by its device, inode, length and
+    /// modification time, read when each job starts. Workers keep the
+    /// reader open across jobs and rewind it, so a file is parsed once per
+    /// worker no matter how many configurations replay it (while it stays
+    /// among the worker's 32 open readers and its path still names it).
     Trace {
         /// Path of the stored trace.
         path: PathBuf,
@@ -621,20 +628,21 @@ impl EvalDriver {
     /// and the evaluation service points its scheduler at it directly.
     ///
     /// The workers share one compile cache for the length of the call. It
-    /// keeps the stats of every point job that finished with no error and
-    /// no stop cause (about 0.5 KiB each, 256 at most, cleared when full),
-    /// so a repeat of the same point, `trace_seed`, configuration and
-    /// budget is answered without simulating; a miss is
-    /// [`crate::run_point_on`] on the worker's session. Kernel and trace
-    /// jobs always simulate: their key would be client content (a program
-    /// to hash per job and keep in memory, trace bytes the drain never
-    /// reads twice). Their compiler pass runs once per (program content,
-    /// configuration) key, after which jobs run the hint-free program with
-    /// the cached steering hints. Outcomes are bit-identical to the
-    /// uncached [`crate::run_point`] and [`crate::replay_trace`]. A
-    /// service drains once for its whole life, so there a point's
-    /// simulation and a kernel's or trace's pass become once-per-key
-    /// costs.
+    /// keeps the stats of every point and trace job that finished with no
+    /// error and no stop cause (about 0.5 KiB each, 256 at most across
+    /// both kinds, cleared when full). A repeat of the same point,
+    /// `trace_seed`, configuration and budget, or of the same trace file
+    /// (device, inode, length and modification time, read per job),
+    /// configuration and run limits, is answered without simulating. A
+    /// point miss is [`crate::run_point_on`] on the worker's session.
+    /// Kernel jobs always simulate: their key would be a client program to
+    /// hash per job and keep in memory. A kernel's or trace's compiler pass
+    /// runs once per (program content, configuration) key, after which
+    /// jobs run the hint-free program with the cached steering hints.
+    /// Outcomes are bit-identical to the uncached [`crate::run_point`] and
+    /// [`crate::replay_trace`]. A service drains once for its whole life,
+    /// so there a point's or trace's simulation and a kernel's pass become
+    /// once-per-key costs.
     ///
     /// Per-job interrupt overrides on the [`SourcedJob`] compose with
     /// `opts`: a job token replaces the batch token for the run (batch
@@ -899,12 +907,14 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// programs). Past the cap the map clears, the compile cache's rule.
 const MAX_OPEN_TRACES: usize = 32;
 
-/// A cached open trace: the reader (parsed once) plus the embedded
-/// program with its hints cleared, copied per configuration before the
-/// hint swap, and its content hash once a configuration with a pass
-/// needed it.
+/// A cached open trace: the reader (parsed once), the identity of the
+/// file it opened (a worker reuses the reader only while its path still
+/// names that file), the embedded program with its hints cleared, copied
+/// per configuration before the hint swap, and its content hash once a
+/// configuration with a pass needed it.
 struct CachedTrace {
     reader: TraceReader<BufReader<File>>,
+    file: FileId,
     pristine: Arc<Program>,
     hash: Option<u64>,
 }
@@ -970,13 +980,13 @@ impl<'m> Worker<'m> {
         }
     }
 
-    /// Run one job. A point job whose key already finished in this drain
-    /// returns the kept stats without simulating (`run_job` has fired
-    /// `job.run` and armed the interrupts by then); a miss is
-    /// `run_point_on` on this worker's session. Kernel and trace jobs run
-    /// their hint-free program with the configuration's cached hints,
-    /// exactly what a hand-annotated expander run or `replay_trace` would
-    /// simulate.
+    /// Run one job. A point or trace job whose key already finished in
+    /// this drain returns the kept stats without simulating (`run_job` has
+    /// fired `job.run` and armed the interrupts by then). A point miss is
+    /// `run_point_on` on this worker's session. Kernel jobs and trace
+    /// misses run their hint-free program with the configuration's cached
+    /// hints, exactly what a hand-annotated expander run or `replay_trace`
+    /// would simulate.
     fn dispatch(&mut self, job: &EvalJob) -> Result<SimStats, TraceError> {
         let (machine, compiled) = (self.machine, self.compiled);
         match job {
@@ -985,7 +995,7 @@ impl<'m> Worker<'m> {
                 config,
                 uops,
             } => {
-                let run = RunKey::of(point, config, *uops);
+                let run = RunKey::point(point, config, *uops);
                 if let Some(stats) = compiled.result(&run) {
                     return Ok(stats);
                 }
@@ -1021,18 +1031,31 @@ impl<'m> Worker<'m> {
                 config,
                 limits,
             } => {
+                let file = FileId::of(&std::fs::metadata(path)?)?;
+                if let Some(stats) = compiled.result(&RunKey::trace(file, config, limits)) {
+                    return Ok(stats);
+                }
+                if self.traces.get(path).is_some_and(|t| t.file != file) {
+                    self.traces.remove(path);
+                }
                 if self.traces.len() >= MAX_OPEN_TRACES && !self.traces.contains_key(path) {
                     self.traces.clear();
                 }
                 let cached = match self.traces.entry(path.clone()) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
                         fault::fire(fault::TRACE_OPEN)?;
-                        let reader = TraceReader::open(path)?;
+                        let opened = File::open(path)?;
+                        // The opened file's own identity: a result kept
+                        // under it belongs to the bytes this reader decodes,
+                        // even if the path was replaced since the lookup.
+                        let file = FileId::of(&opened.metadata()?)?;
+                        let reader = TraceReader::new(BufReader::new(opened))?;
                         let mut pristine = reader.program().clone();
                         pristine.clear_hints();
                         e.insert(CachedTrace {
                             reader,
+                            file,
                             pristine: Arc::new(pristine),
                             hash: None,
                         })
@@ -1042,6 +1065,7 @@ impl<'m> Worker<'m> {
                 // rewound reader.
                 let CachedTrace {
                     reader,
+                    file,
                     pristine,
                     hash,
                 } = cached;
@@ -1065,6 +1089,9 @@ impl<'m> Worker<'m> {
                 if let Some(err) = reader.take_error() {
                     return Err(err);
                 }
+                if self.session.stop_cause().is_none() {
+                    compiled.keep_result(RunKey::trace(*file, config, limits), &stats);
+                }
                 Ok(stats)
             }
         }
@@ -1078,6 +1105,7 @@ mod tests {
     use crate::experiment::run_point;
     use crate::fault::{FaultKind, FaultSchedule, FaultSpec, ScopedFaults, Trigger};
     use crate::replay::{record_point, replay_trace};
+    use std::path::Path;
     use virtclust_trace::Codec;
     use virtclust_uarch::{ArchReg, RegionBuilder, SteerHint};
     use virtclust_workloads::spec2000_points;
@@ -1229,23 +1257,224 @@ mod tests {
         let p = point("eon-1");
         let path = tmp("eon.vctb");
         record_point(&p, 2_000, Codec::Binary, &path).unwrap();
-        // One worker, five schemes over the same file: the reader is opened
-        // once and rewound four times.
-        let jobs: Vec<EvalJob> = Configuration::table3()
+        // One worker, five schemes × two limits over the same file: the
+        // reader is opened once and rewound nine times. Then every job
+        // again: the second pass is all result-table hits, which must
+        // tell the keys apart by configuration and by limits.
+        let mut jobs: Vec<EvalJob> = [RunLimits::unlimited(), RunLimits::uops(1_200)]
             .into_iter()
-            .map(|config| EvalJob::Trace {
-                path: path.clone(),
-                config,
-                limits: RunLimits::unlimited(),
+            .flat_map(|limits| {
+                Configuration::table3().map(|config| EvalJob::Trace {
+                    path: path.clone(),
+                    config,
+                    limits,
+                })
             })
             .collect();
+        jobs.extend_from_within(..);
         let outcomes = EvalDriver::new(&machine).threads(1).run(&jobs);
         for (job, outcome) in jobs.iter().zip(&outcomes) {
-            let direct =
-                replay_trace(&path, job.config(), &machine, &RunLimits::unlimited()).unwrap();
-            assert_eq!(&direct, outcome.stats.as_ref().unwrap(), "{}", job.label(2));
+            let EvalJob::Trace { limits, .. } = job else {
+                unreachable!()
+            };
+            let direct = replay_trace(&path, job.config(), &machine, limits).unwrap();
+            assert_eq!(
+                &direct,
+                outcome.stats.as_ref().unwrap(),
+                "{} {limits:?}",
+                job.label(2)
+            );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_stopped_trace_run_is_not_kept() {
+        // Long enough to reach the first interrupt check (cycle 1 024).
+        let machine = MachineConfig::paper_2cluster();
+        let path = tmp("stopped.vctb");
+        record_point(&point("gzip-1"), 6_000, Codec::Binary, &path).unwrap();
+        let config = Configuration::Vc { num_vcs: 2 };
+        let limits = RunLimits::unlimited();
+        let job = EvalJob::Trace {
+            path: path.clone(),
+            config,
+            limits,
+        };
+        let clean = replay_trace(&path, &config, &machine, &limits).unwrap();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for (token, deadline) in [(None, Some(Instant::now())), (Some(&cancelled), None)] {
+            let compiled = CompileCache::default();
+            let mut worker = Worker::new(&machine, &compiled);
+            let stopped = worker.run_job(&job, token, deadline, Instant::now());
+            assert!(
+                matches!(
+                    stopped,
+                    Err(JobError::DeadlineExceeded { .. } | JobError::Cancelled)
+                ),
+                "{stopped:?}"
+            );
+            // The cut-short stats were not kept: the same key runs again.
+            let next = worker.run_job(&job, None, None, Instant::now()).unwrap();
+            assert_eq!(next, clean);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_trace_run_whose_reader_failed_is_not_kept() {
+        let machine = MachineConfig::paper_2cluster();
+        let path = tmp("cut.vctb");
+        record_point(&point("gzip-1"), 1_000, Codec::Binary, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
+        let job = EvalJob::Trace {
+            path: path.clone(),
+            config: Configuration::Op,
+            limits: RunLimits::unlimited(),
+        };
+        let direct = replay_trace(&path, &Configuration::Op, &machine, &RunLimits::unlimited())
+            .expect_err("a cut trace fails");
+        // One worker, the same key twice: the second job must decode the
+        // file again and fail the same way, not return the first run's
+        // short stats.
+        let outcomes = EvalDriver::new(&machine)
+            .threads(1)
+            .run(&[job.clone(), job]);
+        for outcome in &outcomes {
+            match &outcome.stats {
+                Err(JobError::Trace(e)) => assert_eq!(e.to_string(), direct.to_string()),
+                other => panic!("expected {direct}, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_job_run_fires_before_a_hit() {
+        let machine = MachineConfig::paper_2cluster();
+        let path = tmp("fires.vctb");
+        record_point(&point("gzip-1"), 400, Codec::Binary, &path).unwrap();
+        let job = EvalJob::Trace {
+            path: path.clone(),
+            config: Configuration::Op,
+            limits: RunLimits::unlimited(),
+        };
+        let clean =
+            replay_trace(&path, &Configuration::Op, &machine, &RunLimits::unlimited()).unwrap();
+        let _faults = ScopedFaults::arm(&sched(fault::JOB_RUN, FaultKind::Io, Trigger::Nth(2)));
+        let outcomes = EvalDriver::new(&machine)
+            .threads(1)
+            .run(&[job.clone(), job]);
+        assert_eq!(outcomes[0].stats.as_ref().unwrap(), &clean, "the miss");
+        match &outcomes[1].stats {
+            Err(JobError::Trace(e)) => assert!(e.is_transient(), "{e}"),
+            other => panic!("job.run must fire on the hit, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_replaced_or_deleted_trace_file_is_never_replayed_stale() {
+        let machine = MachineConfig::paper_2cluster();
+        let (path, other) = (tmp("swap.vct"), tmp("swap-next.vct"));
+        record_point(&point("gzip-1"), 2_000, Codec::Text, &path).unwrap();
+        record_point(&point("mcf"), 2_000, Codec::Text, &other).unwrap();
+        let limits = RunLimits::unlimited();
+        let old = replay_trace(&path, &Configuration::Op, &machine, &limits).unwrap();
+        let new = replay_trace(&other, &Configuration::Op, &machine, &limits).unwrap();
+        assert_ne!(old, new);
+        let job = EvalJob::Trace {
+            path: path.clone(),
+            config: Configuration::Op,
+            limits,
+        };
+        // The same job three times. Before the second pull the source
+        // renames the other recording over the path; before the third it
+        // deletes the path.
+        struct Swap<'a> {
+            job: &'a EvalJob,
+            path: &'a Path,
+            other: &'a Path,
+            pulls: AtomicUsize,
+        }
+        impl JobSource for Swap<'_> {
+            fn pull(&self) -> Option<SourcedJob<'_>> {
+                let n = self.pulls.fetch_add(1, Ordering::SeqCst);
+                match n {
+                    0 => {}
+                    1 => std::fs::rename(self.other, self.path).unwrap(),
+                    2 => std::fs::remove_file(self.path).unwrap(),
+                    _ => return None,
+                }
+                Some(SourcedJob::new(n as u64, Cow::Borrowed(self.job)))
+            }
+        }
+        let source = Swap {
+            job: &job,
+            path: &path,
+            other: &other,
+            pulls: AtomicUsize::new(0),
+        };
+        let done: Mutex<Vec<(u64, CellOutcome)>> = Mutex::new(Vec::new());
+        EvalDriver::new(&machine).threads(1).drain_source(
+            &source,
+            &ResilientOptions::new(),
+            &|d: JobDone| done.lock().unwrap().push((d.ticket, d.outcome)),
+        );
+        let done = done.into_inner().unwrap();
+        assert_eq!(done.len(), 3);
+        assert_eq!(done[0].1.stats.as_ref().unwrap(), &old, "the first file");
+        assert_eq!(done[1].1.stats.as_ref().unwrap(), &new, "the renamed file");
+        let gone = replay_trace(&path, &Configuration::Op, &machine, &limits)
+            .expect_err("the path is gone");
+        match &done[2].1.stats {
+            Err(JobError::Trace(e)) => assert_eq!(e.to_string(), gone.to_string()),
+            other => panic!("expected {gone}, got {other:?}"),
+        }
+        std::fs::remove_file(&other).ok();
+    }
+
+    #[test]
+    fn trace_paths_that_are_not_regular_files_fail_at_once() {
+        let fifo = tmp("fifo.vct");
+        let status = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .expect("mkfifo runs");
+        assert!(status.success(), "mkfifo {}", fifo.display());
+        let dir = tmp("dir.vct");
+        std::fs::create_dir_all(&dir).unwrap();
+        for path in [&fifo, &dir] {
+            let job = EvalJob::Trace {
+                path: path.clone(),
+                config: Configuration::Op,
+                limits: RunLimits::unlimited(),
+            };
+            // On a helper thread: a worker that opened the FIFO would block
+            // until a writer appeared, and the test must fail, not hang.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let machine = MachineConfig::paper_2cluster();
+                let (outcomes, report) = EvalDriver::new(&machine).threads(1).run_resilient(
+                    &[job],
+                    &ResilientOptions::new().retries(2),
+                    |_, _| {},
+                );
+                tx.send((outcomes, report.attempts)).ok();
+            });
+            let (outcomes, attempts) = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|e| panic!("{} did not fail at once: {e}", path.display()));
+            match &outcomes[0].stats {
+                Err(JobError::Trace(e)) => assert!(!e.is_transient(), "{e}"),
+                other => panic!("{}: expected a trace error, got {other:?}", path.display()),
+            }
+            assert_eq!(attempts, vec![1], "{}", path.display());
+        }
+        std::fs::remove_file(&fifo).ok();
+        std::fs::remove_dir(&dir).ok();
     }
 
     #[test]
@@ -1260,11 +1489,15 @@ mod tests {
         }
         // One worker replays every file under a scheme without and one
         // with a pass, then the first files again after they were
-        // evicted.
-        let compiled = CompileCache::default();
+        // evicted. The revisit gets a fresh result table, so its jobs
+        // simulate and re-open the evicted readers.
+        let (compiled, fresh) = (CompileCache::default(), CompileCache::default());
         let mut worker = Worker::new(&machine, &compiled);
         let revisit = paths.iter().take(3);
-        for path in paths.iter().chain(revisit) {
+        for (i, path) in paths.iter().chain(revisit).enumerate() {
+            if i == paths.len() {
+                worker.compiled = &fresh;
+            }
             for config in [Configuration::Op, Configuration::Rhop] {
                 let job = EvalJob::Trace {
                     path: path.clone(),

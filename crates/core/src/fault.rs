@@ -35,11 +35,16 @@ use std::sync::{Mutex, MutexGuard};
 
 use virtclust_trace::TraceError;
 
-/// Failpoint site: opening (and parsing) a trace file.
+/// Failpoint site: opening (and parsing) a trace file. A batch worker
+/// fires it only when it opens a reader, not when it reuses one or
+/// answers a trace job from the drain's result table.
 pub const TRACE_OPEN: &str = "trace.open";
-/// Failpoint site: rewinding a cached trace reader between cells.
+/// Failpoint site: rewinding a cached trace reader between cells. A
+/// batch worker fires it only when a trace job simulates, not on a
+/// result-table hit.
 pub const TRACE_REWIND: &str = "trace.rewind";
 /// Failpoint site: swapping the annotated program into a trace reader.
+/// Like [`TRACE_REWIND`], it fires only when a trace job simulates.
 pub const TRACE_SET_PROGRAM: &str = "trace.set_program";
 /// Failpoint site: the top of every batch job (any [`crate::EvalJob`]
 /// kind) — the place to inject job-granular panics and errors.

@@ -355,7 +355,7 @@ impl ObserverState {
 }
 
 /// Run-length limits for a simulation.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct RunLimits {
     /// Stop fetching after this many trace micro-ops (then drain).
     pub max_uops: Option<u64>,

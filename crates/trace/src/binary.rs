@@ -52,6 +52,20 @@ pub fn write_varint<W: Write>(w: &mut W, mut v: u64) -> std::io::Result<()> {
     }
 }
 
+/// Fold the varint byte at bit `shift` into `v`; `Ok(true)` when it is
+/// the last byte.
+fn varint_step(v: &mut u64, shift: u32, byte: u8) -> Result<bool> {
+    let bits = u64::from(byte & 0x7f);
+    // The 10th byte (shift 63) may only contribute the final bit and must
+    // terminate; a continuation there, or any higher payload bits, would
+    // shift data silently out of the u64 and decode a wrong value.
+    if shift == 63 && (bits > 1 || byte & 0x80 != 0) {
+        return Err(TraceError::Corrupt("varint overflows u64".into()));
+    }
+    *v |= bits << shift;
+    Ok(byte & 0x80 == 0)
+}
+
 /// Read a LEB128 unsigned varint.
 pub fn read_varint<R: Read>(r: &mut R) -> Result<u64> {
     let mut v = 0u64;
@@ -59,20 +73,28 @@ pub fn read_varint<R: Read>(r: &mut R) -> Result<u64> {
         let mut byte = [0u8];
         r.read_exact(&mut byte)
             .map_err(|_| TraceError::Corrupt("truncated varint".into()))?;
-        let bits = u64::from(byte[0] & 0x7f);
-        // The 10th byte (shift 63) may only contribute the final bit and
-        // must terminate; a continuation there, or any higher payload
-        // bits, would shift data silently out of the u64 and decode a
-        // wrong value.
-        if shift == 63 && (bits > 1 || byte[0] & 0x80 != 0) {
-            return Err(TraceError::Corrupt("varint overflows u64".into()));
-        }
-        v |= bits << shift;
-        if byte[0] & 0x80 == 0 {
+        if varint_step(&mut v, shift, byte[0])? {
             break;
         }
     }
     Ok(v)
+}
+
+/// [`read_varint`] straight from `r`'s buffer, with no per-byte read
+/// call. A varint that runs past the buffered bytes (a buffer edge, or the
+/// end of the input) goes through `read_varint`, so both paths decode
+/// the same values and fail with the same errors.
+fn read_buffered_varint<R: BufRead>(r: &mut R) -> Result<u64> {
+    if let Ok(buf) = r.fill_buf() {
+        let mut v = 0u64;
+        for (i, &byte) in buf.iter().take(10).enumerate() {
+            if varint_step(&mut v, 7 * i as u32, byte)? {
+                r.consume(i + 1);
+                return Ok(v);
+            }
+        }
+    }
+    read_varint(r)
 }
 
 /// Write the file header (magic, version, embedded program text, declared
@@ -171,14 +193,15 @@ pub enum BinItem {
     End(u64),
 }
 
-/// Decode the next record or the footer.
+/// Decode the next record or the footer, reading its varints straight
+/// from `r`'s buffer.
 pub fn read_item<R: BufRead>(r: &mut R) -> Result<BinItem> {
     let mut flags = [0u8];
     r.read_exact(&mut flags)
         .map_err(|_| TraceError::Corrupt("trace ends without an end marker".into()))?;
     let flags = flags[0];
     if flags == END_MARKER {
-        return Ok(BinItem::End(read_varint(r)?));
+        return Ok(BinItem::End(read_buffered_varint(r)?));
     }
     if flags & !(FLAG_MEM | FLAG_BRANCH | FLAG_TAKEN | FLAG_PC) != 0 {
         return Err(TraceError::Corrupt(format!(
@@ -190,18 +213,18 @@ pub fn read_item<R: BufRead>(r: &mut R) -> Result<BinItem> {
             "branch flags without FLAG_BRANCH ({flags:#04x})"
         )));
     }
-    let seq = read_varint(r)?;
-    let region = u32::try_from(read_varint(r)?)
+    let seq = read_buffered_varint(r)?;
+    let region = u32::try_from(read_buffered_varint(r)?)
         .map_err(|_| TraceError::Corrupt("region index overflows u32".into()))?;
-    let index = u32::try_from(read_varint(r)?)
+    let index = u32::try_from(read_buffered_varint(r)?)
         .map_err(|_| TraceError::Corrupt("instruction index overflows u32".into()))?;
     let mem_addr = if flags & FLAG_MEM != 0 {
-        Some(read_varint(r)?)
+        Some(read_buffered_varint(r)?)
     } else {
         None
     };
     let pc = if flags & FLAG_PC != 0 {
-        Some(read_varint(r)?)
+        Some(read_buffered_varint(r)?)
     } else {
         None
     };
@@ -319,6 +342,63 @@ mod tests {
             assert_eq!(read_item(&mut r).unwrap(), BinItem::Uop(*rec));
         }
         assert_eq!(read_item(&mut r).unwrap(), BinItem::End(recs.len() as u64));
+    }
+
+    #[test]
+    fn records_decode_the_same_at_every_buffer_edge() {
+        // A varint that straddles the reader's buffer goes through the
+        // byte-wise path; every capacity must decode the same items, and
+        // a cut or overflowing stream must fail with the same error.
+        let recs = [
+            RawRecord {
+                seq: u64::MAX,
+                region: 3,
+                index: 300,
+                mem_addr: Some(0xdead_beef_cafe),
+                taken: None,
+                pc: None,
+            },
+            RawRecord {
+                seq: u64::MAX - 1,
+                region: 0,
+                index: 1,
+                mem_addr: None,
+                taken: Some(true),
+                pc: Some(0x4000_0000_1234),
+            },
+        ];
+        let mut buf = Vec::new();
+        for rec in &recs {
+            write_record(&mut buf, rec).unwrap();
+        }
+        write_footer(&mut buf, 2).unwrap();
+        let mut overflow = vec![0u8];
+        overflow.extend([0x80; 9]);
+        overflow.push(0x42);
+        let decode = |bytes: &[u8], cap: usize| -> Vec<Result<BinItem>> {
+            let mut r = std::io::BufReader::with_capacity(cap, bytes);
+            (0..3).map(|_| read_item(&mut r)).collect()
+        };
+        let show = |items: Vec<Result<BinItem>>| -> Vec<String> {
+            items.into_iter().map(|item| format!("{item:?}")).collect()
+        };
+        let whole = show(decode(&buf, buf.len()));
+        assert_eq!(whole[2], format!("{:?}", Ok::<_, ()>(BinItem::End(2))));
+        let cut = &buf[..buf.len() - 3];
+        for cap in 1..=24 {
+            assert_eq!(show(decode(&buf, cap)), whole, "capacity {cap}");
+            assert_eq!(
+                show(decode(cut, cap)),
+                show(decode(cut, cut.len())),
+                "cut, capacity {cap}"
+            );
+            let err = read_item(&mut std::io::BufReader::with_capacity(cap, &overflow[..]));
+            assert_eq!(
+                err.unwrap_err().to_string(),
+                "corrupt trace: varint overflows u64",
+                "capacity {cap}"
+            );
+        }
     }
 
     #[test]

@@ -35,6 +35,8 @@ pub struct TraceReader<R: BufRead> {
     last_seq: Option<u64>,
     done: bool,
     pending_err: Option<TraceError>,
+    /// The text codec's current line, one buffer for the whole stream.
+    line: String,
     /// Byte offset of the first dynamic record (the rewind target) and the
     /// text line number at that offset.
     data_start: u64,
@@ -86,10 +88,14 @@ impl<R: BufRead + Seek> TraceReader<R> {
                 };
                 // Header line (leading blanks/comments tolerated for
                 // hand-edited files).
+                let mut line = String::new();
                 loop {
-                    let line = read_text_line(&mut head, &mut line_no)?.ok_or_else(|| {
-                        end_of_head(head.limit(), "empty input where a trace was expected")
-                    })?;
+                    if !read_text_line(&mut head, &mut line_no, &mut line)? {
+                        return Err(end_of_head(
+                            head.limit(),
+                            "empty input where a trace was expected",
+                        ));
+                    }
                     let trimmed = line.trim();
                     if trimmed.is_empty() || trimmed.starts_with('#') {
                         continue;
@@ -101,9 +107,12 @@ impl<R: BufRead + Seek> TraceReader<R> {
                 let mut declared = None;
                 let mut section: Vec<(u64, String)> = Vec::new();
                 loop {
-                    let line = read_text_line(&mut head, &mut line_no)?.ok_or_else(|| {
-                        end_of_head(head.limit(), "trace ends before its `dyn` section")
-                    })?;
+                    if !read_text_line(&mut head, &mut line_no, &mut line)? {
+                        return Err(end_of_head(
+                            head.limit(),
+                            "trace ends before its `dyn` section",
+                        ));
+                    }
                     let trimmed = line.trim();
                     if trimmed == "dyn" {
                         break;
@@ -114,7 +123,7 @@ impl<R: BufRead + Seek> TraceReader<R> {
                         })?);
                         continue;
                     }
-                    section.push((line_no, line));
+                    section.push((line_no, std::mem::take(&mut line)));
                 }
                 let lines = section.iter().map(|(n, l)| (*n, l.as_str()));
                 (text::parse_program_section(lines, false)?, declared)
@@ -131,6 +140,7 @@ impl<R: BufRead + Seek> TraceReader<R> {
             last_seq: None,
             done: false,
             pending_err: None,
+            line: String::new(),
             data_start,
             data_line: line_no,
         })
@@ -221,11 +231,12 @@ impl<R: BufRead> TraceReader<R> {
                     }
                 },
                 Codec::Text => {
-                    let line =
-                        read_text_line(&mut self.r, &mut self.line_no)?.ok_or_else(|| {
-                            TraceError::Corrupt("trace ends without an `end` footer".into())
-                        })?;
-                    match text::parse_dyn_line(self.line_no, &line)? {
+                    if !read_text_line(&mut self.r, &mut self.line_no, &mut self.line)? {
+                        return Err(TraceError::Corrupt(
+                            "trace ends without an `end` footer".into(),
+                        ));
+                    }
+                    match text::parse_dyn_line(self.line_no, &self.line)? {
                         None => continue,
                         Some(text::TextItem::Uop(rec)) => Some(rec),
                         Some(text::TextItem::End(count)) => {
@@ -322,13 +333,15 @@ impl<R: BufRead + Seek> TraceSource for TraceReader<R> {
     }
 }
 
-fn read_text_line<R: BufRead>(r: &mut R, line_no: &mut u64) -> Result<Option<String>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
+/// Read the next line into `line`, replacing what it held; `Ok(false)` at
+/// the end of the input.
+fn read_text_line<R: BufRead>(r: &mut R, line_no: &mut u64, line: &mut String) -> Result<bool> {
+    line.clear();
+    if r.read_line(line)? == 0 {
+        return Ok(false);
     }
     *line_no += 1;
-    Ok(Some(line))
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -391,13 +391,14 @@ pub enum TextItem {
 }
 
 /// Parse a dynamic-section line (`u …` or `end <n>`); `Ok(None)` for blank
-/// and comment lines.
+/// and comment lines. Walks the tokens in place, allocating nothing on
+/// success.
 pub fn parse_dyn_line(line_no: u64, raw: &str) -> Result<Option<TextItem>> {
     let line = raw.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
-    let toks: Vec<&str> = line.split_whitespace().collect();
+    let mut toks = line.split_whitespace();
     let int = |tok: &str, what: &str| -> Result<u64> {
         tok.parse()
             .map_err(|_| TraceError::parse(line_no, format!("bad {what} `{tok}`")))
@@ -406,20 +407,22 @@ pub fn parse_dyn_line(line_no: u64, raw: &str) -> Result<Option<TextItem>> {
         u64::from_str_radix(tok, 16)
             .map_err(|_| TraceError::parse(line_no, format!("bad {what} `{tok}`")))
     };
-    match toks[0] {
+    // A trimmed non-empty line has a first token.
+    match toks.next().unwrap_or_default() {
         "end" => {
             let n = toks
-                .get(1)
+                .next()
                 .ok_or_else(|| TraceError::parse(line_no, "`end` without a count"))?;
             Ok(Some(TextItem::End(int(n, "record count")?)))
         }
         "u" => {
-            if toks.len() < 4 {
+            let (Some(seq), Some(region), Some(index)) = (toks.next(), toks.next(), toks.next())
+            else {
                 return Err(TraceError::parse(
                     line_no,
                     "record needs seq, region, index",
                 ));
-            }
+            };
             let int32 = |tok: &str, what: &str| -> Result<u32> {
                 int(tok, what).and_then(|v| {
                     u32::try_from(v).map_err(|_| {
@@ -428,26 +431,24 @@ pub fn parse_dyn_line(line_no: u64, raw: &str) -> Result<Option<TextItem>> {
                 })
             };
             let mut rec = RawRecord {
-                seq: int(toks[1], "sequence number")?,
-                region: int32(toks[2], "region index")?,
-                index: int32(toks[3], "instruction index")?,
+                seq: int(seq, "sequence number")?,
+                region: int32(region, "region index")?,
+                index: int32(index, "instruction index")?,
                 mem_addr: None,
                 taken: None,
                 pc: None,
             };
-            let mut rest = &toks[4..];
-            while let Some((&key, tail)) = rest.split_first() {
+            while let Some(key) = toks.next() {
                 match key {
                     "m" => {
-                        let (&v, tail) = tail
-                            .split_first()
+                        let v = toks
+                            .next()
                             .ok_or_else(|| TraceError::parse(line_no, "`m` without an address"))?;
                         rec.mem_addr = Some(hex(v, "memory address")?);
-                        rest = tail;
                     }
                     "b" => {
-                        let (&v, tail) = tail
-                            .split_first()
+                        let v = toks
+                            .next()
                             .ok_or_else(|| TraceError::parse(line_no, "`b` without an outcome"))?;
                         rec.taken = Some(match v {
                             "t" => true,
@@ -459,17 +460,15 @@ pub fn parse_dyn_line(line_no: u64, raw: &str) -> Result<Option<TextItem>> {
                                 ))
                             }
                         });
-                        rest = tail;
                     }
                     "pc" => {
                         if rec.taken.is_none() {
                             return Err(TraceError::parse(line_no, "`pc` before `b`"));
                         }
-                        let (&v, tail) = tail
-                            .split_first()
+                        let v = toks
+                            .next()
                             .ok_or_else(|| TraceError::parse(line_no, "`pc` without a value"))?;
                         rec.pc = Some(hex(v, "branch pc")?);
-                        rest = tail;
                     }
                     other => {
                         return Err(TraceError::parse(
