@@ -7,6 +7,7 @@
 //! trace_replay record    <point>  <out-file> [--binary] [--uops N] [--clusters 2|4|8]
 //! trace_replay replay    <file>   [--scheme op|1c|ob|rhop|vcN|modN] [--uops N] [--clusters 2|4|8]
 //! trace_replay intervals <file>   [--scheme ...] [--every K] [--uops N] [--clusters 2|4|8]
+//!                                 [--timeline OUT]
 //! trace_replay compare   <file>   [--clusters 2|4|8]
 //! trace_replay batch     <file>...  [--uops N] [--clusters 2|4|8]
 //! trace_replay import    <kernel> <out-file> [--binary] [--uops N] [--seed S]
@@ -15,11 +16,16 @@
 //! * `record` captures a SPEC-like suite point (by Fig. 5 name, e.g.
 //!   `gzip-1`) into a trace file;
 //! * `replay` runs one steering scheme over a stored trace;
-//! * `intervals` replays one scheme with a `virtclust-obs` interval
-//!   observer attached (`--every K` cycles, default 1000) and prints one
-//!   row per interval — phase-resolved IPC, copies, stalls and front-end
-//!   starvation over the run — then checks that the interval deltas sum
-//!   *exactly* to the final stats (exit code 1 if not);
+//! * `intervals` is the one observed run: it replays one scheme with a
+//!   `virtclust-obs` interval observer attached (`--every K` cycles,
+//!   default 1000) and prints one row per interval — phase-resolved IPC,
+//!   copies, stalls and front-end starvation over the run. It checks that
+//!   the interval deltas sum *exactly* to the final stats and that the
+//!   observed stats equal an unobserved `replay` (exit code 1 if either
+//!   fails), then prints one skip-summary line: idle spans skipped, cycles
+//!   replicated and their share, median and longest span, and spans per
+//!   idle kind. `--timeline OUT` also writes the run's Chrome trace
+//!   (skipped spans plus IPC, stall, occupancy and queue counter tracks);
 //! * `compare` replays all five Table 3 schemes over the same stored
 //!   stream and checks they commit identical micro-op counts (exit code 1
 //!   if not) — the CI round-trip smoke;
@@ -41,6 +47,7 @@
 //! streams unless `--uops` is given).
 
 use std::num::NonZeroU64;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -49,8 +56,8 @@ use virtclust_core::{
     record_point, replay_compare, replay_trace, replay_trace_observed, BatchReport, CellOutcome,
     Configuration, EvalDriver, EvalJob,
 };
-use virtclust_obs::{MemSink, Shared};
-use virtclust_sim::{RunLimits, SimStats};
+use virtclust_obs::{ChromeTrace, MemSink, Shared};
+use virtclust_sim::{IdleCycleKind, RunLimits, SimStats, StallReason};
 use virtclust_trace::{import_kernel_file, Codec, TraceWriter};
 use virtclust_workloads::{spec2000_points, KernelParams, TraceExpander};
 
@@ -59,6 +66,7 @@ usage:
   trace_replay record    <point>  <out-file> [--binary] [--uops N] [--clusters 2|4|8]
   trace_replay replay    <file>   [--scheme op|1c|ob|rhop|vcN|modN] [--uops N] [--clusters 2|4|8]
   trace_replay intervals <file>   [--scheme ...] [--every K] [--uops N] [--clusters 2|4|8]
+                                  [--timeline OUT]
   trace_replay compare   <file>   [--clusters 2|4|8]
   trace_replay batch     <file>...  [--uops N] [--clusters 2|4|8]
                                     [--retries N] [--deadline-ms MS] [--chaos SCHEDULE]
@@ -74,7 +82,7 @@ read from VIRTCLUST_FAILPOINTS).";
 const CLI: Cli = Cli {
     usage: USAGE,
     switches: "--binary",
-    values: "--uops --seed --clusters --scheme --every --retries --deadline-ms --chaos",
+    values: "--uops --seed --clusters --scheme --every --timeline --retries --deadline-ms --chaos",
     operands: true,
 };
 
@@ -99,6 +107,9 @@ fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
     };
     if cmd != "batch" {
         args.only_in("batch", RESILIENCE_FLAGS);
+    }
+    if cmd != "intervals" {
+        args.only_in("intervals", "--timeline");
     }
     match cmd {
         "record" => {
@@ -191,6 +202,16 @@ fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
                     stats.summary()
                 ));
             }
+            let unobserved =
+                replay_trace(file, &config, machine, &limits).map_err(|e| e.to_string())?;
+            if unobserved != stats {
+                return Err(format!(
+                    "the observed run diverged from an unobserved replay:\n  \
+                     observed   {}\n  unobserved {}",
+                    stats.summary(),
+                    unobserved.summary()
+                ));
+            }
             let (n_intervals, n_spans) =
                 handle.with(|sink| (sink.intervals.len(), sink.skip_spans.len()));
             println!(
@@ -200,6 +221,19 @@ fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
                 stats.cycles,
                 stats.summary()
             );
+            println!("{}", handle.with(|sink| skip_summary(sink, stats.cycles)));
+            if let Some(out) = args.str("--timeline") {
+                let name = format!("{} · {file}", config.name(machine.num_clusters as u32));
+                let trace = handle.with(|sink| chrome_trace(sink, &name));
+                trace
+                    .save(Path::new(out))
+                    .map_err(|e| format!("cannot write {out}: {e}"))?;
+                println!(
+                    "{} trace events written to {out} (open in chrome://tracing or \
+                     https://ui.perfetto.dev; 1 cycle = 1 µs)",
+                    trace.len()
+                );
+            }
             Ok(())
         }
         "compare" => {
@@ -255,17 +289,14 @@ fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
                 .collect();
             let finished = AtomicUsize::new(0);
             let total = jobs.len();
-            let t0 = std::time::Instant::now();
             let progress = |i: usize, outcome: &CellOutcome| {
                 let n = finished.fetch_add(1, Ordering::Relaxed) + 1;
                 match &outcome.stats {
                     Ok(stats) => println!(
-                        "[{n}/{total}] {}: ipc={:.3} copies={} ({:.2} ms, {:.0}k uops/s)",
+                        "[{n}/{total}] {}: ipc={:.3} copies={}",
                         jobs[i].label(clusters),
                         stats.ipc(),
                         stats.copies_generated,
-                        outcome.wall.as_secs_f64() * 1e3,
-                        outcome.uops_per_sec() / 1e3,
                     ),
                     Err(e) => {
                         println!("[{n}/{total}] {}: ERROR {e}", jobs[i].label(clusters))
@@ -280,22 +311,17 @@ fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
                 }
                 None => (driver.run_streaming(&jobs, progress), None),
             };
-            let wall = t0.elapsed();
 
             // Per-file identical-commit check (the `compare` contract).
             let stride = Configuration::table3().len();
             let mut failures = Vec::new();
-            let mut total_uops = 0u64;
             for (fi, file) in operands.iter().enumerate() {
                 let cells = fi * stride..(fi + 1) * stride;
                 let row = &outcomes[cells.clone()];
                 let mut commits = Vec::with_capacity(stride);
                 for (job, outcome) in jobs[cells].iter().zip(row) {
                     match &outcome.stats {
-                        Ok(stats) => {
-                            commits.push(stats.committed_uops);
-                            total_uops += stats.committed_uops;
-                        }
+                        Ok(stats) => commits.push(stats.committed_uops),
                         Err(e) => {
                             // Under the resilient engine failed cells are
                             // expected (already printed as ERROR lines and
@@ -315,13 +341,7 @@ fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
                     ));
                 }
             }
-            println!(
-                "batch: {} cells over {} file(s) in {:.2}s ({:.0}k uops/s aggregate)",
-                total,
-                operands.len(),
-                wall.as_secs_f64(),
-                total_uops as f64 / wall.as_secs_f64().max(1e-9) / 1e3,
-            );
+            println!("batch: {total} cells over {} file(s)", operands.len());
             if let Some(report) = &report {
                 println!("batch: {}", report.summary());
             }
@@ -357,6 +377,89 @@ fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
         }
         other => args.fail(&format!("unknown command {other}")),
     }
+}
+
+/// One line on the skipped idle spans an observer saw: how many, the
+/// cycles they replicated and their share of the run's `cycles`, the
+/// median (a log2-bucket lower bound) and longest span, and the spans of
+/// each idle kind. The iq-full, copyq-full, rf-full and policy-stall
+/// spans are the ones only a pure steering policy can skip.
+fn skip_summary(sink: &MemSink<SimStats>, cycles: u64) -> String {
+    let hist = &sink.skip_hist;
+    let replicated = hist.sum();
+    let share = if cycles == 0 {
+        0.0
+    } else {
+        100.0 * replicated as f64 / cycles as f64
+    };
+    let kinds: Vec<String> = std::iter::once(IdleCycleKind::FrontendStarved)
+        .chain(StallReason::ALL.map(IdleCycleKind::DispatchStall))
+        .map(|kind| {
+            let label = kind.label();
+            let n = sink.skip_spans.iter().filter(|s| s.label == label).count();
+            format!("{label} {n}")
+        })
+        .collect();
+    format!(
+        "skip summary: {} idle spans, {replicated} of {cycles} cycles replicated ({share:.1}%), \
+         median span {}, max span {}; by kind: {}",
+        hist.count(),
+        hist.percentile(0.5),
+        hist.max(),
+        kinds.join(", ")
+    )
+}
+
+/// The observed run as a Chrome trace (`chrome://tracing`, Perfetto): one
+/// process, pid 1, called `name`, with the skipped idle spans as slices
+/// and counter tracks for IPC, the dispatch-stall breakdown, per-cluster
+/// occupancy and queue depths. One cycle maps to one microsecond, so the
+/// timeline reads in cycles.
+fn chrome_trace(sink: &MemSink<SimStats>, name: &str) -> ChromeTrace {
+    const PID: u64 = 1;
+    const SKIP_TID: u64 = 0;
+    let mut trace = ChromeTrace::new();
+    trace.process_name(PID, name);
+    trace.thread_name(PID, SKIP_TID, "skipped spans");
+    for span in &sink.skip_spans {
+        trace.complete(
+            span.label,
+            PID,
+            SKIP_TID,
+            span.start_cycle,
+            span.len,
+            &[("cycles", span.len)],
+        );
+    }
+    for s in &sink.intervals {
+        let d = &s.delta;
+        trace.counter("ipc", PID, s.start_cycle, &[("ipc", d.ipc())]);
+        let stalls: Vec<(&str, f64)> = StallReason::ALL
+            .iter()
+            .map(|&r| {
+                let label = IdleCycleKind::DispatchStall(r).label();
+                (label, d.dispatch_stalls[r.index()] as f64)
+            })
+            .collect();
+        trace.counter("stalls", PID, s.start_cycle, &stalls);
+        let occupancy: Vec<(String, f64)> = d
+            .clusters
+            .iter()
+            .enumerate()
+            .map(|(c, cs)| {
+                (
+                    format!("c{c}"),
+                    cs.occupancy_integral as f64 / d.cycles.max(1) as f64,
+                )
+            })
+            .collect();
+        let occupancy: Vec<(&str, f64)> = occupancy.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        trace.counter("occupancy", PID, s.start_cycle, &occupancy);
+    }
+    for (cycle, gauges) in &sink.gauges {
+        trace.counter("queues", PID, *cycle, gauges);
+    }
+    trace
 }
 
 fn main() -> ExitCode {

@@ -1,21 +1,21 @@
 //! # virtclust-bench
 //!
 //! The harness that regenerates every table and figure of Cai et al.,
-//! IPDPS 2008. Six binaries live under `src/bin/`:
+//! IPDPS 2008. Five binaries live under `src/bin/`:
 //!
 //! * `paper` — the tables, figures and ablations, one subcommand each;
 //! * `probe_ipc` — per-point IPC and bottleneck stats, and the JSON matrix
 //!   the CI bit-identity gate diffs;
-//! * `throughput` — fresh vs reused session throughput, skip diagnostics
-//!   and timelines;
-//! * `trace_replay` — trace capture, replay and batched replay;
+//! * `trace_replay` — trace capture, replay and batched replay, and the
+//!   observed run (`intervals`: per-interval stats, the skip summary and
+//!   a Chrome-trace timeline);
 //! * `serve` and `loadgen` — the evaluation-service daemon and its load
 //!   generator.
 //!
 //! Performance is measured by the benchmark under `vcbench/` (declared in
 //! `BENCHMARK.json`), end to end and per layer under one schema; the
-//! wall-clock figures `throughput` and `loadgen` print are quick looks on
-//! one host, not a reference.
+//! wall-clock figures `loadgen` prints are a quick look on one host, not
+//! a reference.
 //!
 //! Each binary declares its flags to one parser ([`Cli`]). Parsing is
 //! strict: an unknown, repeated or valueless flag, an unexpected operand,
@@ -27,7 +27,7 @@
 //! ([`uop_budget`]; the paper's PinPoints slices are 10 M instructions),
 //! `VIRTCLUST_THREADS` the worker threads ([`threads`]), and
 //! `VIRTCLUST_FAILPOINTS` a chaos schedule ([`Args::resilience`]). Every
-//! result a binary prints is also written under `results/` in the working
+//! result `paper` prints is also written under `results/` in the working
 //! directory ([`write_result`]).
 
 #![forbid(unsafe_code)]

@@ -1,4 +1,4 @@
-//! Command-line contract of the six harness binaries: every usage error
+//! Command-line contract of the five harness binaries: every usage error
 //! (an unknown, repeated or valueless flag, a malformed value or
 //! environment variable, a bad command, subcommand or scheme) exits 2
 //! with the offending flag or variable named on stderr, before any work.
@@ -7,7 +7,6 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const PROBE_IPC: &str = env!("CARGO_BIN_EXE_probe_ipc");
-const THROUGHPUT: &str = env!("CARGO_BIN_EXE_throughput");
 const TRACE_REPLAY: &str = env!("CARGO_BIN_EXE_trace_replay");
 const LOADGEN: &str = env!("CARGO_BIN_EXE_loadgen");
 const SERVE: &str = env!("CARGO_BIN_EXE_serve");
@@ -52,20 +51,16 @@ fn usage_error(bin: &str, line: &str, name: &str) {
 #[test]
 fn unknown_flags_are_usage_errors() {
     usage_error(PROBE_IPC, "--json --cluster 4", "--cluster");
-    usage_error(THROUGHPUT, "--cluster 4", "--cluster");
     usage_error(TRACE_REPLAY, "compare TRACE --cluster 4", "--cluster");
     usage_error(LOADGEN, "--unix /no.sock --verfy", "--verfy");
     usage_error(SERVE, "--qouta 2 --cluster 4", "--qouta");
     usage_error(PAPER, "table1 --cluster 4", "--cluster");
-    usage_error(THROUGHPUT, "--stages", "--stages");
-    usage_error(THROUGHPUT, "--json-out x", "--json-out");
     usage_error(PROBE_IPC, "--json --metrics-out x", "--metrics-out");
 }
 
 #[test]
 fn repeated_and_valueless_flags_are_usage_errors() {
     usage_error(PROBE_IPC, "--json --json", "--json");
-    usage_error(THROUGHPUT, "--uops 10 --uops 20", "--uops");
     usage_error(
         TRACE_REPLAY,
         "compare TRACE --clusters 2 --clusters 2",
@@ -76,13 +71,12 @@ fn repeated_and_valueless_flags_are_usage_errors() {
     usage_error(PROBE_IPC, "--json --point", "--point");
     usage_error(LOADGEN, "--unix --verify", "--unix");
     usage_error(SERVE, "--unix", "--unix");
+    usage_error(TRACE_REPLAY, "intervals TRACE --timeline", "--timeline");
 }
 
 #[test]
 fn malformed_values_are_usage_errors() {
     usage_error(PROBE_IPC, "--json --clusters 3", "--clusters");
-    usage_error(THROUGHPUT, "--uops x", "--uops");
-    usage_error(THROUGHPUT, "--runs 0", "--runs");
     usage_error(TRACE_REPLAY, "replay TRACE --uops x", "--uops");
     usage_error(TRACE_REPLAY, "compare TRACE --every 0", "--every");
     usage_error(LOADGEN, "--unix /no.sock --uops x", "--uops");
@@ -124,7 +118,11 @@ fn commands_operands_and_modes_are_checked() {
     usage_error(TRACE_REPLAY, "compare", "compare needs <file>");
     usage_error(TRACE_REPLAY, "replay TRACE --retries 1", "--retries");
     usage_error(PROBE_IPC, "--point mcf", "--point");
-    usage_error(THROUGHPUT, "--trace TRACE --timeline t.json", "--timeline");
+    usage_error(
+        TRACE_REPLAY,
+        "compare TRACE --timeline t.json",
+        "--timeline",
+    );
 }
 
 #[test]

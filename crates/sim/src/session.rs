@@ -79,7 +79,7 @@
 
 use std::collections::VecDeque;
 
-use virtclust_obs::{IntervalSample, Log2Hist, ObsSink, SkipSpan};
+use virtclust_obs::{IntervalSample, ObsSink, SkipSpan};
 use virtclust_uarch::{
     ArchReg, DynUop, MachineConfig, OpClass, QueueKind, RegClass, TraceSource, MAX_SRCS,
     NUM_ARCH_REGS,
@@ -274,37 +274,21 @@ const DEADLOCK_HORIZON: u64 = 1_000_000;
 /// Host-side diagnostics of the idle-cycle skipper — telemetry that cannot
 /// live in [`SimStats`] because skipping must leave statistics
 /// bit-identical to stepping. Cleared by [`SimSession::reset`], read via
-/// [`SimSession::skip_diag`]; `throughput --point` prints it so the
-/// replicated-cycle share is reproducible from the tool itself.
+/// [`SimSession::skip_diag`]. The per-span stream (start, length, idle
+/// kind) goes to an attached observer instead; `trace_replay intervals`
+/// summarises it.
 #[derive(Debug, Clone, Default)]
 pub struct SkipDiag {
-    /// Idle spans skipped.
-    pub spans: u64,
     /// Total cycles replicated arithmetically instead of stepped.
     pub cycles: u64,
-    /// Distribution of skipped-span lengths (log2 buckets).
-    pub hist: Log2Hist,
-    /// Frontend-starved spans (no micro-op ready to dispatch).
-    pub starved_spans: u64,
     /// Dispatch-stall spans by [`StallReason::index`]. The post-policy
     /// reasons (iq/rf/copyq/policy) can only appear when the steering
     /// policy is pure ([`crate::SteeringPolicy::steer_is_pure`]): an
     /// impure policy's stall spans end the skip probe at the steer call.
     pub stall_spans: [u64; 6],
-    /// Replicated cycles per dispatch-stall reason (same indexing).
-    pub stall_cycles: [u64; 6],
 }
 
 impl SkipDiag {
-    /// Fraction of `total_cycles` that was replicated rather than stepped.
-    pub fn replicated_share(&self, total_cycles: u64) -> f64 {
-        if total_cycles == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / total_cycles as f64
-        }
-    }
-
     /// Spans whose classification consulted the steering policy — the
     /// spans only a pure policy can skip (IQ-full, RF-full, copy-queue-
     /// full and explicit policy stalls; ROB/LSQ-full precede the steer
@@ -490,8 +474,8 @@ pub struct SimSession {
     skip_enabled: bool,
     skip_override: Option<bool>,
     // Skip-path diagnostics (host-side; never part of the bit-identity
-    // surface). Maintained unconditionally — one histogram record per
-    // *span*, not per cycle, so the cost is noise.
+    // surface). Maintained unconditionally — two adds per *span*, not per
+    // cycle, so the cost is noise.
     skip_diag: SkipDiag,
     // Interval observer, if attached. `None` keeps the per-cycle cost of
     // the telemetry hook to a single branch. Survives `reset` (re-armed)
@@ -813,9 +797,9 @@ impl SimSession {
         self.interrupt.as_ref().and_then(|i| i.stopped)
     }
 
-    /// Skip-path diagnostics accumulated since the last reset (spans
-    /// skipped, cycles replicated, span-length histogram). Host-side
-    /// telemetry only — never part of the bit-identical [`SimStats`].
+    /// Skip-path diagnostics accumulated since the last reset (cycles
+    /// replicated, dispatch-stall spans). Host-side telemetry only — never
+    /// part of the bit-identical [`SimStats`].
     pub fn skip_diag(&self) -> &SkipDiag {
         &self.skip_diag
     }
@@ -1870,15 +1854,9 @@ impl SimSession {
     /// it to the observer, if any. Shared by the release fast path and the
     /// debug mirror so both builds emit identical telemetry.
     fn note_skip_span(&mut self, span: u64, kind: IdleCycleKind) {
-        self.skip_diag.spans += 1;
         self.skip_diag.cycles += span;
-        self.skip_diag.hist.record(span);
-        match kind {
-            IdleCycleKind::FrontendStarved => self.skip_diag.starved_spans += 1,
-            IdleCycleKind::DispatchStall(r) => {
-                self.skip_diag.stall_spans[r.index()] += 1;
-                self.skip_diag.stall_cycles[r.index()] += span;
-            }
+        if let IdleCycleKind::DispatchStall(r) = kind {
+            self.skip_diag.stall_spans[r.index()] += 1;
         }
         if let Some(obs) = &mut self.observer {
             obs.sink.on_skip_span(&SkipSpan {
@@ -2691,20 +2669,27 @@ mod tests {
         let uops = idle_heavy_uops(30);
         let cfg = MachineConfig::default();
         let run = |skip: bool| {
+            let handle = Shared::new(MemSink::<SimStats>::new());
             let mut session = SimSession::new(&cfg);
             session.set_cycle_skipping(skip);
+            session.attach_observer(1_000, Box::new(handle.clone()));
             let mut trace = SliceTrace::new(&uops);
             let stats = session.run(&mut trace, &mut RoundRobin(0), &RunLimits::unlimited());
-            (session, stats)
+            let spans: Vec<u64> =
+                handle.with(|sink| sink.skip_spans.iter().map(|s| s.len).collect());
+            (session, stats, spans)
         };
-        let (session, stats) = run(true);
+        let (session, stats, spans) = run(true);
         let diag = session.skip_diag();
-        assert!(diag.spans > 0, "chase must skip");
-        assert_eq!(diag.hist.count(), diag.spans);
-        assert_eq!(diag.hist.sum(), diag.cycles);
-        assert!(diag.replicated_share(stats.cycles) > 0.5);
-        let (session, _) = run(false);
-        assert_eq!(session.skip_diag().spans, 0);
+        assert!(!spans.is_empty(), "chase must skip");
+        assert_eq!(
+            spans.iter().sum::<u64>(),
+            diag.cycles,
+            "observer spans sum to the diag"
+        );
+        assert!(diag.cycles as f64 / stats.cycles as f64 > 0.5);
+        let (session, _, spans) = run(false);
+        assert!(spans.is_empty());
         assert_eq!(session.skip_diag().cycles, 0);
     }
 }

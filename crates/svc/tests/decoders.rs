@@ -1,14 +1,103 @@
 //! The daemon's frame decoders over hostile input: `split_frame` and
 //! `decode_client` return `Ok` or a typed error on any bytes, never a
-//! panic. Inputs start from nothing or from a valid client frame, then
-//! take arbitrary bytes, overwrites and a cut. These run in debug under
+//! panic, and never allocate much more than the bytes they were given.
+//! Inputs start from nothing or from a valid client frame, then take
+//! arbitrary bytes, overwrites and a cut. These run in debug under
 //! `cargo test`, so integer overflow panics too.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
-use virtclust_svc::wire::{decode_client, encode_client, split_frame};
+use virtclust_svc::wire::{decode_client, encode_client, msg, split_frame};
 use virtclust_svc::{ClientMsg, JobSpec, Priority, Submit};
+use virtclust_trace::frame::read_frame;
+use virtclust_trace::TraceError;
+
+/// The system allocator, plus each thread's largest single allocation, so
+/// that tests running in parallel do not see each other's.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the bookkeeping only reads a size and touches a
+// thread-local `Cell`, which allocates nothing.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from this allocator, which is `System`, with
+        // `layout`; the caller upholds the rest of `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// Run `f` and return its result with the largest single allocation it
+/// made on this thread.
+fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// A length prefix that claims 16 MiB, the most a frame may hold.
+const CLAIMS_16_MIB: [u8; 4] = [0x80, 0x80, 0x80, 0x08];
+
+#[test]
+fn a_submit_claiming_a_16_mib_name_allocates_little() {
+    // ticket 1, priority High, no deadline, a Point spec whose name
+    // claims 16 MiB: 8 bytes in all.
+    let mut body = vec![1, 0, 0, 0];
+    body.extend_from_slice(&CLAIMS_16_MIB);
+    assert_eq!(body.len(), 8);
+    let (decoded, largest) = largest_alloc(|| decode_client(msg::SUBMIT, &body));
+    match decoded {
+        Err(TraceError::Corrupt(m)) => assert_eq!(m, "truncated byte string"),
+        other => panic!("expected a truncated byte string, got {other:?}"),
+    }
+    assert!(largest < 64 * 1024, "allocated {largest} bytes");
+}
+
+#[test]
+fn a_frame_claiming_16_mib_on_an_8_byte_stream_allocates_little() {
+    let mut stream = CLAIMS_16_MIB.to_vec();
+    stream.extend_from_slice(&[msg::SUBMIT, 1, 0, 0]);
+    assert_eq!(stream.len(), 8);
+    let (read, largest) = largest_alloc(|| read_frame(&mut stream.as_slice()));
+    match read {
+        Err(TraceError::Corrupt(m)) => assert_eq!(m, "stream ends inside a frame"),
+        other => panic!("expected a cut frame, got {other:?}"),
+    }
+    assert!(largest < 64 * 1024, "allocated {largest} bytes");
+}
 
 /// A valid frame to corrupt, or none.
 fn seed_frame(which: usize) -> Vec<u8> {
@@ -65,15 +154,28 @@ proptest! {
         if cut % 2 == 1 {
             buf.truncate(cut % (buf.len() + 1));
         }
+        let mut largest = 0;
         let ok = catch_unwind(AssertUnwindSafe(|| {
             let mut rest = &buf[..];
-            while let Ok(Some((msg_type, body, used))) = split_frame(rest) {
+            loop {
+                let (used, size) = largest_alloc(|| match split_frame(rest) {
+                    Ok(Some((msg_type, body, used))) => {
+                        let _ = decode_client(msg_type, &body);
+                        Some(used)
+                    }
+                    _ => None,
+                });
+                largest = largest.max(size);
+                let Some(used) = used else { break };
                 assert!(used > 0 && used <= rest.len(), "split {used} of {}", rest.len());
-                let _ = decode_client(msg_type, &body);
                 rest = &rest[used..];
             }
         }))
         .is_ok();
         prop_assert!(ok, "panicked on {:?}", buf);
+        prop_assert!(
+            largest <= buf.len() + 4096,
+            "allocated {largest} bytes decoding {} bytes: {:?}", buf.len(), buf
+        );
     }
 }

@@ -15,8 +15,9 @@
 //! a `msg_type` can still consume the frame exactly and move on — the
 //! same forward-compat posture as the trace format's versioned header.
 //! Frames longer than [`MAX_FRAME_LEN`] are rejected as
-//! [`TraceError::Corrupt`] before any allocation, so a garbled length
-//! prefix cannot ask the reader for gigabytes.
+//! [`TraceError::Corrupt`] before any allocation, and a frame's buffer
+//! grows as its bytes arrive, so a garbled length prefix cannot ask the
+//! reader for more memory than the stream delivers.
 //!
 //! ```
 //! use virtclust_trace::frame;
@@ -40,6 +41,10 @@ use crate::error::{Result, TraceError};
 /// summaries are all well under a megabyte); small enough that a corrupt
 /// length prefix fails fast instead of allocating unboundedly.
 pub const MAX_FRAME_LEN: u64 = 16 * 1024 * 1024;
+
+/// The most [`read_frame`] allocates before a frame's bytes arrive; a
+/// longer frame's buffer grows as they do.
+const PREALLOC: u64 = 8 * 1024;
 
 /// Write the connection preamble: 4-byte magic plus a version byte.
 pub fn write_preamble<W: Write>(w: &mut W, magic: &[u8; 4], version: u8) -> Result<()> {
@@ -122,9 +127,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>> {
             "frame length {len} exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)
-        .map_err(|_| TraceError::Corrupt("stream ends inside a frame".into()))?;
+    let mut payload = Vec::with_capacity(len.min(PREALLOC) as usize);
+    let read = Read::take(&mut *r, len).read_to_end(&mut payload);
+    if read.ok() != Some(len as usize) {
+        return Err(TraceError::Corrupt("stream ends inside a frame".into()));
+    }
     let body = payload.split_off(1);
     Ok(Some((payload[0], body)))
 }
@@ -142,23 +149,28 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     let _ = write_varint(out, v);
 }
 
-/// Read a varint-length-prefixed byte string from a frame body.
-pub fn take_bytes<R: Read>(r: &mut R) -> Result<Vec<u8>> {
-    let len = read_varint(r)?;
+/// Read a varint-length-prefixed byte string from the front of a frame
+/// body, advancing `body` past it. A length longer than what is left of
+/// the body is refused before anything is allocated.
+pub fn take_bytes(body: &mut &[u8]) -> Result<Vec<u8>> {
+    let len = read_varint(body)?;
     if len > MAX_FRAME_LEN {
         return Err(TraceError::Corrupt(format!(
             "byte string of {len} bytes inside a frame"
         )));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)
-        .map_err(|_| TraceError::Corrupt("truncated byte string".into()))?;
-    Ok(buf)
+    if len > body.len() as u64 {
+        return Err(TraceError::Corrupt("truncated byte string".into()));
+    }
+    let (bytes, rest) = body.split_at(len as usize);
+    *body = rest;
+    Ok(bytes.to_vec())
 }
 
-/// Read a varint-length-prefixed UTF-8 string from a frame body.
-pub fn take_string<R: Read>(r: &mut R) -> Result<String> {
-    String::from_utf8(take_bytes(r)?)
+/// Read a varint-length-prefixed UTF-8 string from the front of a frame
+/// body, like [`take_bytes`].
+pub fn take_string(body: &mut &[u8]) -> Result<String> {
+    String::from_utf8(take_bytes(body)?)
         .map_err(|_| TraceError::Corrupt("byte string is not UTF-8".into()))
 }
 

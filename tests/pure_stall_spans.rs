@@ -117,7 +117,7 @@ fn compile(region: Region, config: Configuration, machine: &MachineConfig) -> Re
 /// makes the queue fill (nothing issues while the chain head executes)
 /// and drain one entry at a time.
 #[test]
-fn busy_bit_flip_mid_epoch_invalidates_plan() {
+fn busy_bit_flip_mid_epoch_matches_per_cycle() {
     let machine = MachineConfig {
         iq_int_entries: 4,
         rob_entries: 64,
@@ -149,7 +149,7 @@ fn busy_bit_flip_mid_epoch_invalidates_plan() {
 /// branches are interleaved with the same IQ-filling serial chain so
 /// squashes land while dispatch is stalled.
 #[test]
-fn squash_mid_plan_discards_the_memo() {
+fn squash_while_stalled_matches_per_cycle() {
     let machine = MachineConfig {
         iq_int_entries: 4,
         ..Default::default()
