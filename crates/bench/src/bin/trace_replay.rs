@@ -30,8 +30,9 @@
 //!   stream and checks they commit identical micro-op counts (exit code 1
 //!   if not) — the CI round-trip smoke;
 //! * `batch` feeds (file × Table 3 scheme) cells through the batch engine
-//!   (`core::batch::EvalDriver`): per-worker reusable sessions, each trace
-//!   parsed once and rewound per scheme, completions streamed as they
+//!   (`core::batch::EvalDriver`): per-worker reusable sessions, each cell a
+//!   `replay` of its file on the worker's session unless the drain's
+//!   result table already holds its key, completions streamed as they
 //!   land. Applies the same identical-commit check per file — the CI
 //!   batch-engine smoke. With `--retries N`, `--deadline-ms MS` and/or
 //!   `--chaos SCHEDULE` (or `VIRTCLUST_FAILPOINTS`) the batch runs
@@ -120,14 +121,11 @@ fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
                 .into_iter()
                 .find(|p| &p.name == point_name)
                 .unwrap_or_else(|| args.fail(&format!("unknown suite point {point_name}")));
-            let t0 = std::time::Instant::now();
             let n = record_point(&point, budget(), codec, out).map_err(|e| e.to_string())?;
             let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             println!(
-                "recorded {n} uops of {point_name} to {out} ({} codec, {bytes} bytes, {:.1} B/uop) in {:.2}s",
-                codec,
+                "recorded {n} uops of {point_name} to {out} ({codec} codec, {bytes} bytes, {:.1} B/uop)",
                 bytes as f64 / n.max(1) as f64,
-                t0.elapsed().as_secs_f64(),
             );
             Ok(())
         }

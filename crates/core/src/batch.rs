@@ -5,23 +5,18 @@
 //! [`run_matrix`](crate::runner::run_matrix) fans the (point ×
 //! configuration) matrix out over threads, but historically every cell
 //! built a fresh machine (≈1 MB of allocations: cache line arrays,
-//! predictor tables, event calendar) and every replayed cell re-opened and
-//! re-parsed its trace. [`EvalDriver`] replaces that with service-style
-//! plumbing:
+//! predictor tables, event calendar) and simulated whatever it had run
+//! before. [`EvalDriver`] replaces that with service-style plumbing:
 //!
 //! * each worker owns one [`SimSession`], reset — not reallocated — per
 //!   cell;
-//! * each drain shares one compile cache across its workers: a repeated
+//! * each drain shares one result table across its workers: a repeated
 //!   suite-point or stored-trace job reuses the finished stats of its
-//!   first run, and a kernel or trace program's compiler pass runs once
-//!   per (program, configuration) key, later jobs reusing the pass's
-//!   steering hints (both bounded, cleared when full; see
-//!   [`drain_source`](EvalDriver::drain_source));
-//! * each worker caches up to 32 open [`TraceReader`]s, so a `.vct`/`.vctb`
-//!   file is parsed once and then [`rewound`](TraceReader::rewind) per
-//!   simulated cell (with [`TraceReader::set_program`] swapping the
-//!   steering hints per configuration) while its path still names the file
-//!   the reader opened; past the cap the worker's reader cache clears;
+//!   first run (bounded, cleared when full; see
+//!   [`drain_source`](EvalDriver::drain_source)), and a job that misses it
+//!   runs its uncached reference on the worker's session — the point
+//!   path of [`crate::run_point`], the replay body of
+//!   [`crate::replay_trace`], or a kernel's pass and expansion;
 //! * jobs are heterogeneous ([`EvalJob`]): generated suite points, imported
 //!   kernel programs, and stored-trace replays mix freely in one queue;
 //! * completion streams through an `on_cell` callback as cells finish
@@ -39,8 +34,8 @@
 //!   by [`TraceError::is_transient`]), a caught panic, a missed deadline,
 //!   or a cancellation. One bad job is one bad outcome, never an abort.
 //! * **Panic isolation** — `catch_unwind` wraps each attempt; a panicked
-//!   worker *quarantines* (fresh session, dropped trace cache, since its
-//!   state died mid-mutation) and keeps draining the queue. Outcomes are
+//!   worker *quarantines* (fresh session, since its state died
+//!   mid-mutation) and keeps draining the queue. Outcomes are
 //!   collected over a channel, not shared mutexes, so a panic anywhere
 //!   can poison nothing. A panicking `on_cell` callback is caught too and
 //!   the first one is resurfaced exactly once after all workers join.
@@ -78,7 +73,7 @@
 //! from a poisoned slot mutex ([`std::sync::PoisonError::into_inner`] —
 //! the slots are plain writes), a worker that somehow produces no outcome
 //! yields a typed [`JobError::Panicked`] placeholder instead of unwinding
-//! the collector, and cached-reader rebuilds surface [`TraceError`]s
+//! the collector, and trace opens and decodes surface [`TraceError`]s
 //! through the retry machinery. The module denies `clippy::unwrap_used` /
 //! `clippy::expect_used` outside tests to keep it that way.
 
@@ -86,15 +81,13 @@
 
 use std::any::Any;
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
 use std::io::BufReader;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use virtclust_obs::Counter;
@@ -103,9 +96,10 @@ use virtclust_trace::{TraceError, TraceReader};
 use virtclust_uarch::{MachineConfig, Program};
 use virtclust_workloads::{KernelParams, TraceExpander, TracePoint};
 
-use crate::compile::{CompileCache, FileId, RunKey};
+use crate::compile::{run_pass, FileId, ResultTable, RunKey};
 use crate::experiment::{run_point_on, Configuration};
 use crate::fault;
+use crate::replay::replay_on;
 
 /// One unit of work for the [`EvalDriver`]: a workload crossed with a
 /// steering configuration.
@@ -145,10 +139,7 @@ pub enum EvalJob {
     /// with a permanent error, before any `open`. A drain simulates each
     /// (file, configuration, limits) key once and answers repeats from its
     /// result table; the file is told by its device, inode, length and
-    /// modification time, read when each job starts. Workers keep the
-    /// reader open across jobs and rewind it, so a file is parsed once per
-    /// worker no matter how many configurations replay it (while it stays
-    /// among the worker's 32 open readers and its path still names it).
+    /// modification time, read when each job starts.
     Trace {
         /// Path of the stored trace.
         path: PathBuf,
@@ -273,7 +264,7 @@ impl JobSource for SliceSource<'_> {
 /// deadlines and cancellations are never retried.
 #[derive(Debug)]
 pub enum JobError {
-    /// The trace layer failed (open, parse, rewind, program swap, or an
+    /// The trace layer failed (open, parse, program swap, or an
     /// error surfaced mid-stream).
     Trace(TraceError),
     /// The job panicked on its worker; the panic was caught, the worker
@@ -342,9 +333,8 @@ pub struct ResilientOptions {
     /// Maximum *re*-attempts per job (default 0: the first failure is
     /// final). A job retries exactly when it has made at most `retries`
     /// attempts and its error [is transient](JobError::is_transient).
-    /// Every retry rebuilds the worker's state (fresh session, dropped
-    /// trace cache), so a retried success is bit-identical to a
-    /// fault-free run.
+    /// Every retry rebuilds the worker's state (a fresh session), so a
+    /// retried success is bit-identical to a fault-free run.
     pub retries: u32,
     /// Per-job wall-clock budget, covering all of the job's attempts.
     /// `None` = no deadline.
@@ -389,7 +379,7 @@ pub struct CellOutcome {
     /// to a deadline, cancellation or (isolated) panic.
     pub stats: Result<SimStats, JobError>,
     /// Wall-clock time the cell spent on its worker thread (includes
-    /// program generation / compiler pass / trace rewind and every retry
+    /// program generation / compiler pass / trace open and every retry
     /// attempt, excludes queue wait; zero for jobs cancelled before they
     /// started).
     pub wall: Duration,
@@ -533,7 +523,7 @@ pub struct JobTally {
 }
 
 /// The batch engine: drains an [`EvalJob`] queue over worker threads with
-/// per-worker session and trace-reader reuse.
+/// per-worker session reuse and one result table per drain.
 #[derive(Debug, Clone)]
 pub struct EvalDriver {
     machine: MachineConfig,
@@ -613,22 +603,21 @@ impl EvalDriver {
     /// slice entry points run through it via an internal cursor source,
     /// and the evaluation service points its scheduler at it directly.
     ///
-    /// The workers share one compile cache for the length of the call. It
+    /// The workers share one result table for the length of the call. It
     /// keeps the stats of every point and trace job that finished with no
     /// error and no stop cause (about 0.5 KiB each, 256 at most across
     /// both kinds, cleared when full). A repeat of the same point,
     /// `trace_seed`, configuration and budget, or of the same trace file
     /// (device, inode, length and modification time, read per job),
     /// configuration and run limits, is answered without simulating. A
-    /// point miss is [`crate::run_point_on`] on the worker's session.
-    /// Kernel jobs always simulate: their key would be a client program to
-    /// hash per job and keep in memory. A kernel's or trace's compiler pass
-    /// runs once per (program content, configuration) key, after which
-    /// jobs run the hint-free program with the cached steering hints.
-    /// Outcomes are bit-identical to the uncached [`crate::run_point`] and
-    /// [`crate::replay_trace`]. A service drains once for its whole life,
-    /// so there a point's or trace's simulation and a kernel's pass become
-    /// once-per-key costs.
+    /// miss runs its uncached reference on the worker's session: a point
+    /// runs [`crate::run_point_on`], a trace opens its file and runs the
+    /// body of [`crate::replay_trace`]. Kernel jobs always simulate, with
+    /// their compiler pass: their key would be a client program to keep in
+    /// memory. Outcomes are bit-identical to the uncached
+    /// [`crate::run_point`] and [`crate::replay_trace`]. A service drains
+    /// once for its whole life, so there a point's or trace's simulation
+    /// becomes a once-per-key cost.
     ///
     /// Per-job interrupt overrides on the [`SourcedJob`] compose with
     /// `opts`: a job token replaces the batch token for the run (batch
@@ -652,13 +641,13 @@ impl EvalDriver {
         // so a chaos test's schedule reaches its own workers and no one
         // else's (see `fault::participate`).
         let participates = fault::participating();
-        let compiled = CompileCache::default();
-        let compiled = &compiled;
+        let results = ResultTable::default();
+        let results = &results;
         std::thread::scope(|scope| {
             for w in 0..threads {
                 scope.spawn(move || {
                     fault::participate(participates);
-                    let mut worker = Worker::new(&self.machine, compiled);
+                    let mut worker = Worker::new(&self.machine, results);
                     while let Some(sourced) = source.pull() {
                         let picked_at = Instant::now();
                         let token = sourced.token.as_ref().or(opts.token.as_ref());
@@ -831,8 +820,8 @@ fn run_one(
             Ok(Ok(stats)) => break Ok(stats),
             Ok(Err(e)) => e,
             Err(payload) => {
-                // The worker's session/caches died mid-mutation:
-                // quarantine before anything else touches them.
+                // The worker's session died mid-mutation: quarantine
+                // before anything else touches it.
                 worker.quarantine();
                 JobError::Panicked {
                     message: panic_message(payload.as_ref()),
@@ -884,53 +873,28 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Trace readers one worker keeps open. Each holds a descriptor, an 8 KiB
-/// `BufReader` and two copies of its trace's program (the reader's and the
-/// hint-free one), and a service drains for its whole life, so a worker
-/// must not keep every file a client ever named: 32 covers the committed
-/// corpus many times over and keeps a worker's descriptors far below the
-/// usual soft limit of 1 024. Worst case per worker: 32 × (8 KiB + two
-/// programs). Past the cap the map clears, the compile cache's rule.
-const MAX_OPEN_TRACES: usize = 32;
-
-/// A cached open trace: the reader (parsed once), the identity of the
-/// file it opened (a worker reuses the reader only while its path still
-/// names that file), the embedded program with its hints cleared, copied
-/// per configuration before the hint swap, and its content hash once a
-/// configuration with a pass needed it.
-struct CachedTrace {
-    reader: TraceReader<BufReader<File>>,
-    file: FileId,
-    pristine: Arc<Program>,
-    hash: Option<u64>,
-}
-
-/// Per-worker reusable state.
+/// Per-worker reusable state: a session and the drain's result table.
 struct Worker<'m> {
     machine: &'m MachineConfig,
-    compiled: &'m CompileCache,
+    results: &'m ResultTable,
     session: SimSession,
-    traces: HashMap<PathBuf, CachedTrace>,
 }
 
 impl<'m> Worker<'m> {
-    fn new(machine: &'m MachineConfig, compiled: &'m CompileCache) -> Self {
+    fn new(machine: &'m MachineConfig, results: &'m ResultTable) -> Self {
         Worker {
             machine,
-            compiled,
+            results,
             session: SimSession::new(machine),
-            traces: HashMap::new(),
         }
     }
 
-    /// Drop everything reused across jobs: the session (whose state may
-    /// have died mid-mutation in a panic) and the trace-reader cache
-    /// (whose readers may be mid-stream). The bit-identity contract makes
-    /// this safe: a rebuilt worker *is* a fresh machine. The drain's
-    /// compile cache stays: it only ever holds finished values.
+    /// Replace the session, whose state may have died mid-mutation in a
+    /// panic. The bit-identity contract makes this safe: a rebuilt worker
+    /// *is* a fresh machine. The drain's result table stays: it only ever
+    /// holds finished runs.
     fn quarantine(&mut self) {
         self.session = SimSession::new(self.machine);
-        self.traces.clear();
     }
 
     /// Per-attempt state rebuild before a retry — the quarantine plus the
@@ -968,13 +932,12 @@ impl<'m> Worker<'m> {
 
     /// Run one job. A point or trace job whose key already finished in
     /// this drain returns the kept stats without simulating (`run_job` has
-    /// fired `job.run` and armed the interrupts by then). A point miss is
-    /// `run_point_on` on this worker's session. Kernel jobs and trace
-    /// misses run their hint-free program with the configuration's cached
-    /// hints, exactly what a hand-annotated expander run or `replay_trace`
-    /// would simulate.
+    /// fired `job.run` and armed the interrupts by then). A miss runs the
+    /// uncached reference on this worker's session: `run_point_on` for a
+    /// point, `replay_trace`'s body for a trace. A kernel job runs its
+    /// configuration's pass on a copy of its program and expands it.
     fn dispatch(&mut self, job: &EvalJob) -> Result<SimStats, TraceError> {
-        let (machine, compiled) = (self.machine, self.compiled);
+        let (machine, results) = (self.machine, self.results);
         match job {
             EvalJob::Point {
                 point,
@@ -982,12 +945,12 @@ impl<'m> Worker<'m> {
                 uops,
             } => {
                 let run = RunKey::point(point, config, *uops);
-                if let Some(stats) = compiled.result(&run) {
+                if let Some(stats) = results.get(&run) {
                     return Ok(stats);
                 }
                 let stats = run_point_on(&mut self.session, point, config, machine, *uops);
                 if self.session.stop_cause().is_none() {
-                    compiled.keep_result(run, &stats);
+                    results.keep(run, &stats);
                 }
                 Ok(stats)
             }
@@ -998,11 +961,8 @@ impl<'m> Worker<'m> {
                 config,
                 uops,
             } => {
-                let mut base = program.clone();
-                base.clear_hints();
-                let base = Arc::new(base);
-                let program =
-                    compiled.annotate(|| compiled.content_hash(&base), &base, config, machine);
+                let mut program = program.clone();
+                run_pass(&mut program, config, machine);
                 let mut trace = TraceExpander::new(&program, params, *seed);
                 let mut policy = config.make_policy();
                 Ok(self.session.simulate(
@@ -1018,65 +978,19 @@ impl<'m> Worker<'m> {
                 limits,
             } => {
                 let file = FileId::of(&std::fs::metadata(path)?)?;
-                if let Some(stats) = compiled.result(&RunKey::trace(file, config, limits)) {
+                if let Some(stats) = results.get(&RunKey::trace(file, config, limits)) {
                     return Ok(stats);
                 }
-                if self.traces.get(path).is_some_and(|t| t.file != file) {
-                    self.traces.remove(path);
-                }
-                if self.traces.len() >= MAX_OPEN_TRACES && !self.traces.contains_key(path) {
-                    self.traces.clear();
-                }
-                let cached = match self.traces.entry(path.clone()) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(e) => {
-                        fault::fire(fault::TRACE_OPEN)?;
-                        let opened = File::open(path)?;
-                        // The opened file's own identity: a result kept
-                        // under it belongs to the bytes this reader decodes,
-                        // even if the path was replaced since the lookup.
-                        let file = FileId::of(&opened.metadata()?)?;
-                        let reader = TraceReader::new(BufReader::new(opened))?;
-                        let mut pristine = reader.program().clone();
-                        pristine.clear_hints();
-                        e.insert(CachedTrace {
-                            reader,
-                            file,
-                            pristine: Arc::new(pristine),
-                            hash: None,
-                        })
-                    }
-                };
-                // The `replay_trace` preparation, over the already-parsed,
-                // rewound reader.
-                let CachedTrace {
-                    reader,
-                    file,
-                    pristine,
-                    hash,
-                } = cached;
-                let program = compiled.annotate(
-                    || *hash.get_or_insert_with(|| compiled.content_hash(pristine)),
-                    pristine,
-                    config,
-                    machine,
-                );
-                fault::fire(fault::TRACE_SET_PROGRAM)?;
-                reader.set_program(program.into_owned())?;
-                fault::fire(fault::TRACE_REWIND)?;
-                reader.rewind()?;
-                let mut policy = config.make_policy();
-                let stats = self
-                    .session
-                    .simulate(machine, reader, policy.as_mut(), limits);
-                // Errors inside the simulation loop surface as a silently-
-                // ended trace; re-raise them so a corrupt file can never
-                // masquerade as a short run.
-                if let Some(err) = reader.take_error() {
-                    return Err(err);
-                }
+                fault::fire(fault::TRACE_OPEN)?;
+                let opened = File::open(path)?;
+                // The opened file's own identity: a result kept under it
+                // belongs to the bytes this reader decodes, even if the path
+                // was replaced since the lookup.
+                let file = FileId::of(&opened.metadata()?)?;
+                let reader = TraceReader::new(BufReader::new(opened))?;
+                let stats = replay_on(&mut self.session, reader, config, machine, limits)?;
                 if self.session.stop_cause().is_none() {
-                    compiled.keep_result(RunKey::trace(*file, config, limits), &stats);
+                    results.keep(RunKey::trace(file, config, limits), &stats);
                 }
                 Ok(stats)
             }
@@ -1115,9 +1029,9 @@ mod tests {
     fn point_jobs_match_run_point_bit_for_bit() {
         let machine = MachineConfig::paper_2cluster();
         let p = point("gzip-1");
-        // More runs under the same name: the compile cache must tell the
-        // programs apart by seed and by every parameter, not the name, and
-        // the result table the runs by their trace seed and budget too.
+        // More runs under the same name: the result table must tell them
+        // apart by both seeds, every parameter and the budget, not the
+        // name.
         let reseeded = TracePoint {
             program_seed: p.program_seed + 1,
             ..p.clone()
@@ -1199,8 +1113,8 @@ mod tests {
         let cancelled = CancelToken::new();
         cancelled.cancel();
         for (token, deadline) in [(None, Some(Instant::now())), (Some(&cancelled), None)] {
-            let compiled = CompileCache::default();
-            let mut worker = Worker::new(&machine, &compiled);
+            let results = ResultTable::default();
+            let mut worker = Worker::new(&machine, &results);
             let stopped = worker.run_job(&job, token, deadline, Instant::now());
             assert!(
                 matches!(
@@ -1238,13 +1152,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_jobs_match_replay_trace_and_reuse_one_reader() {
+    fn trace_jobs_match_replay_trace() {
         let machine = MachineConfig::paper_2cluster();
         let p = point("eon-1");
         let path = tmp("eon.vctb");
         record_point(&p, 2_000, Codec::Binary, &path).unwrap();
-        // One worker, five schemes × two limits over the same file: the
-        // reader is opened once and rewound nine times. Then every job
+        // One worker, five schemes × two limits over the same file: ten
+        // misses, each opening and replaying the file. Then every job
         // again: the second pass is all result-table hits, which must
         // tell the keys apart by configuration and by limits.
         let mut jobs: Vec<EvalJob> = [RunLimits::unlimited(), RunLimits::uops(1_200)]
@@ -1291,8 +1205,8 @@ mod tests {
         let cancelled = CancelToken::new();
         cancelled.cancel();
         for (token, deadline) in [(None, Some(Instant::now())), (Some(&cancelled), None)] {
-            let compiled = CompileCache::default();
-            let mut worker = Worker::new(&machine, &compiled);
+            let results = ResultTable::default();
+            let mut worker = Worker::new(&machine, &results);
             let stopped = worker.run_job(&job, token, deadline, Instant::now());
             assert!(
                 matches!(
@@ -1464,44 +1378,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_reader_cache_stays_bounded_and_matches_replay_trace() {
-        let machine = MachineConfig::paper_2cluster();
-        let p = point("gzip-1");
-        let paths: Vec<PathBuf> = (0..MAX_OPEN_TRACES + 3)
-            .map(|i| tmp(&format!("cap-{i}.vctb")))
-            .collect();
-        for (i, path) in paths.iter().enumerate() {
-            record_point(&p, 100 + i as u64, Codec::Binary, path).unwrap();
-        }
-        // One worker replays every file under a scheme without and one
-        // with a pass, then the first files again after they were
-        // evicted. The revisit gets a fresh result table, so its jobs
-        // simulate and re-open the evicted readers.
-        let (compiled, fresh) = (CompileCache::default(), CompileCache::default());
-        let mut worker = Worker::new(&machine, &compiled);
-        let revisit = paths.iter().take(3);
-        for (i, path) in paths.iter().chain(revisit).enumerate() {
-            if i == paths.len() {
-                worker.compiled = &fresh;
-            }
-            for config in [Configuration::Op, Configuration::Rhop] {
-                let job = EvalJob::Trace {
-                    path: path.clone(),
-                    config,
-                    limits: RunLimits::unlimited(),
-                };
-                let got = worker.run_job(&job, None, None, Instant::now()).unwrap();
-                let direct = replay_trace(path, &config, &machine, &RunLimits::unlimited());
-                assert_eq!(got, direct.unwrap(), "{}", job.label(2));
-                assert!(worker.traces.len() <= MAX_OPEN_TRACES);
-            }
-        }
-        for path in &paths {
-            std::fs::remove_file(path).ok();
-        }
-    }
-
-    #[test]
     fn kernel_jobs_match_a_manual_expander_run() {
         let machine = MachineConfig::paper_2cluster();
         let r = ArchReg::int;
@@ -1515,7 +1391,7 @@ mod tests {
                 .build(),
         );
         // Stale hints from some earlier pass: cleared before VC's pass
-        // runs, and never part of the compile cache's key.
+        // runs.
         for inst in &mut program.regions[0].insts {
             inst.hint = SteerHint::Static { cluster: 1 };
         }
@@ -1528,7 +1404,8 @@ mod tests {
             config,
             uops: 1_200,
         };
-        // One worker, the same job twice: a miss, then a hit.
+        // One worker, the same job twice: both simulate, the second on the
+        // reused session.
         let outcomes = EvalDriver::new(&machine)
             .threads(1)
             .run(&[job.clone(), job]);
@@ -1542,8 +1419,8 @@ mod tests {
             let mut policy = config.make_policy();
             SimSession::new(&machine).run(&mut trace, policy.as_mut(), &RunLimits::uops(1_200))
         };
-        assert_eq!(&manual, outcomes[0].stats.as_ref().unwrap(), "miss");
-        assert_eq!(&manual, outcomes[1].stats.as_ref().unwrap(), "hit");
+        assert_eq!(&manual, outcomes[0].stats.as_ref().unwrap(), "first");
+        assert_eq!(&manual, outcomes[1].stats.as_ref().unwrap(), "second");
     }
 
     #[test]
@@ -1809,10 +1686,10 @@ mod tests {
             config: Configuration::Op,
             limits: RunLimits::unlimited(),
         }];
-        // Every rewind attempt fails — the job must give up after
+        // Every program swap fails — the job must give up after
         // 1 + max_retries attempts.
         let _faults = ScopedFaults::arm(&sched(
-            fault::TRACE_REWIND,
+            fault::TRACE_SET_PROGRAM,
             FaultKind::Io,
             Trigger::Every(1),
         ));
@@ -1838,7 +1715,7 @@ mod tests {
             config: Configuration::Op,
             limits: RunLimits::unlimited(),
         }];
-        let schedule = sched(fault::TRACE_REWIND, FaultKind::Io, Trigger::Nth(1)).with(
+        let schedule = sched(fault::TRACE_SET_PROGRAM, FaultKind::Io, Trigger::Nth(1)).with(
             fault::SESSION_RESET,
             FaultSpec {
                 kind: FaultKind::Io,
@@ -1851,7 +1728,7 @@ mod tests {
             &ResilientOptions::new().retries(5),
             |_, _| {},
         );
-        // The transient rewind fault would retry, but the rebuild itself
+        // The transient program-swap fault would retry, but the rebuild itself
         // faults: double fault, job over, no infinite loop.
         assert!(matches!(&outcomes[0].stats, Err(JobError::Trace(_))));
         assert_eq!(report.attempts, vec![1]);

@@ -35,16 +35,13 @@ use std::sync::{Mutex, MutexGuard};
 
 use virtclust_trace::TraceError;
 
-/// Failpoint site: opening (and parsing) a trace file. A batch worker
-/// fires it only when it opens a reader, not when it reuses one or
-/// answers a trace job from the drain's result table.
+/// Failpoint site: opening (and parsing) a trace file. Every replay that
+/// simulates fires it; a batch trace job answered from the drain's result
+/// table does not.
 pub const TRACE_OPEN: &str = "trace.open";
-/// Failpoint site: rewinding a cached trace reader between cells. A
-/// batch worker fires it only when a trace job simulates, not on a
-/// result-table hit.
-pub const TRACE_REWIND: &str = "trace.rewind";
 /// Failpoint site: swapping the annotated program into a trace reader.
-/// Like [`TRACE_REWIND`], it fires only when a trace job simulates.
+/// Like [`TRACE_OPEN`], it fires only when a replay simulates, after the
+/// open.
 pub const TRACE_SET_PROGRAM: &str = "trace.set_program";
 /// Failpoint site: the top of every batch job (any [`crate::EvalJob`]
 /// kind) — the place to inject job-granular panics and errors.
@@ -54,13 +51,7 @@ pub const JOB_RUN: &str = "job.run";
 pub const SESSION_RESET: &str = "session.reset";
 
 /// Every named failpoint site, for schedule validation and enumeration.
-pub const SITES: [&str; 5] = [
-    TRACE_OPEN,
-    TRACE_REWIND,
-    TRACE_SET_PROGRAM,
-    JOB_RUN,
-    SESSION_RESET,
-];
+pub const SITES: [&str; 4] = [TRACE_OPEN, TRACE_SET_PROGRAM, JOB_RUN, SESSION_RESET];
 
 /// What an armed failpoint injects when its trigger fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -461,13 +452,13 @@ mod tests {
             .with(TRACE_OPEN, spec(FaultKind::Io, Trigger::Nth(2)))
             .with(JOB_RUN, spec(FaultKind::Panic, Trigger::Every(5)))
             .with(
-                TRACE_REWIND,
+                TRACE_SET_PROGRAM,
                 spec(FaultKind::Corrupt, Trigger::Prob { p: 0.25, seed: 9 }),
             );
         let text = s.to_string();
         assert_eq!(
             text,
-            "trace.open=io@2,job.run=panic%5,trace.rewind=corrupt~0.25:9"
+            "trace.open=io@2,job.run=panic%5,trace.set_program=corrupt~0.25:9"
         );
         assert_eq!(FaultSchedule::parse(&text).unwrap(), s);
     }
@@ -512,7 +503,7 @@ mod tests {
         );
         assert!(err.to_string().contains("trace.open"), "{err}");
         assert!(fire(TRACE_OPEN).is_ok(), "hit 3 passes again");
-        assert!(fire(TRACE_REWIND).is_ok(), "other sites never fire");
+        assert!(fire(TRACE_SET_PROGRAM).is_ok(), "other sites never fire");
         assert_eq!(injected_count(), 1);
     }
 

@@ -116,13 +116,13 @@ pub fn replay_trace_observed(
     replay_on(&mut session, reader, config, machine, limits)
 }
 
-/// [`replay_trace`] on a caller-provided session, the one replay body:
-/// re-annotate the trace's program for `config` through the same
-/// [`run_pass`] that [`run_point`] applies to a freshly generated program,
-/// then simulate the stored stream.
+/// [`replay_trace`] on a caller-provided session, the one replay body that
+/// batch trace jobs run too: re-annotate the trace's program for `config`
+/// through the same [`run_pass`] that [`run_point`] applies to a freshly
+/// generated program, then simulate the stored stream.
 ///
 /// [`run_point`]: crate::run_point
-fn replay_on<R: BufRead + Seek>(
+pub(crate) fn replay_on<R: BufRead + Seek>(
     session: &mut SimSession,
     mut reader: TraceReader<R>,
     config: &Configuration,
@@ -131,6 +131,7 @@ fn replay_on<R: BufRead + Seek>(
 ) -> Result<SimStats> {
     let mut program = reader.program().clone();
     run_pass(&mut program, config, machine);
+    crate::fault::fire(crate::fault::TRACE_SET_PROGRAM)?;
     reader.set_program(program)?;
     let mut policy = config.make_policy();
     let stats = session.simulate(machine, &mut reader, policy.as_mut(), limits);

@@ -1,7 +1,8 @@
 //! Service-layer integration over sockets: determinism across arrival
 //! orders, backpressure isolation, cancellation, Unix and TCP round-trips
 //! held bit-identical to a direct batch-engine run, and a daemon that
-//! outlives hostile clients and undecodable job files.
+//! outlives hostile clients, undecodable job files and job paths that
+//! are not regular files.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
@@ -226,16 +227,14 @@ fn cancel_all_reports_queued_jobs_cancelled() {
     server.join().unwrap();
 }
 
-#[test]
-fn a_kernel_file_with_a_multi_byte_register_gets_an_error_result() {
-    let dir = std::env::temp_dir().join(format!("virtclust-svc-utf8-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let kernel = dir.join("utf8.kernel");
-    std::fs::write(&kernel, "i alu é1 = r1 r2\n").unwrap();
+/// Submit a kernel job naming `kernel`, then `Shutdown`, to a fresh daemon
+/// over a raw connection, and return the error of the job's `Result`. The
+/// connection has a read timeout, so a daemon that never answers fails the
+/// test instead of hanging it; the daemon must then close the connection
+/// and join cleanly.
+fn kernel_submit_error(name: &str, kernel: &Path) -> String {
     let builder = ServerBuilder::new(&MachineConfig::paper_2cluster()).threads(1);
-    let (server, sock) = unix_server("utf8", builder);
-    // A raw connection with a read timeout: a daemon that never answers
-    // fails the test instead of hanging it.
+    let (server, sock) = unix_server(name, builder);
     let mut conn = handshake(&sock);
     conn.set_read_timeout(Some(RECV_TIMEOUT)).unwrap();
     let spec = JobSpec::Kernel {
@@ -249,19 +248,46 @@ fn a_kernel_file_with_a_multi_byte_register_gets_an_error_result() {
     encode_client(&mut frames, &ClientMsg::Shutdown).unwrap();
     conn.write_all(&frames).unwrap();
     let (msg_type, body) = read_frame(&mut conn).unwrap().expect("a reply");
-    match decode_server(msg_type, &body).unwrap() {
+    let err = match decode_server(msg_type, &body).unwrap() {
         Some(ServerMsg::Result(r)) => {
             assert_eq!(r.ticket, 7);
-            let err = r.outcome.expect_err("an undecodable kernel cannot run");
-            assert!(err.contains("bad register"), "{err}");
+            r.outcome.expect_err("the kernel cannot run")
         }
         other => panic!("expected a Result frame, got {other:?}"),
-    }
+    };
     assert!(
         read_frame(&mut conn).unwrap().is_none(),
         "EOF after shutdown"
     );
     server.join().expect("every daemon thread survived");
+    err
+}
+
+#[test]
+fn a_kernel_file_with_a_multi_byte_register_gets_an_error_result() {
+    let dir = std::env::temp_dir().join(format!("virtclust-svc-utf8-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let kernel = dir.join("utf8.kernel");
+    std::fs::write(&kernel, "i alu é1 = r1 r2\n").unwrap();
+    let err = kernel_submit_error("utf8", &kernel);
+    assert!(err.contains("bad register"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_fifo_kernel_path_gets_an_error_result_at_once() {
+    let dir = std::env::temp_dir().join(format!("virtclust-svc-fifo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fifo = dir.join("fifo.kernel");
+    let status = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("mkfifo runs");
+    assert!(status.success(), "mkfifo {}", fifo.display());
+    // Opening the FIFO would block the connection's reader thread until a
+    // writer appeared; the path must be refused before any open.
+    let err = kernel_submit_error("fifo", &fifo);
+    assert!(err.contains("not a regular file"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

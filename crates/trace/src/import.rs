@@ -33,13 +33,13 @@
 //! instantiates dynamic behaviour, and a [`TraceWriter`](crate::TraceWriter)
 //! persists the result.
 
-use std::fs::File;
+use std::fs::{File, Metadata};
 use std::io::{self, Read};
 use std::path::Path;
 
 use virtclust_uarch::Program;
 
-use crate::error::Result;
+use crate::error::{Result, TraceError};
 use crate::text;
 
 /// Parse a kernel description (see the module docs for the grammar).
@@ -52,10 +52,29 @@ pub fn parse_kernel(input: &str) -> Result<Program> {
     text::parse_program_section(lines, true)
 }
 
-/// Read and parse a kernel file. Reads at most the program-text bound
-/// of the trace decoders; a longer file is
-/// [`TraceError::TooLarge`](crate::TraceError::TooLarge).
+/// Refuse anything that `meta` says is not a regular file (a FIFO, a
+/// directory, a socket, a device) with a permanent
+/// `Io(InvalidInput, "not a regular file")` error. Checking a path's
+/// metadata with this before `open` keeps a caller from blocking on a
+/// FIFO that has no writer.
+pub fn require_regular_file(meta: &Metadata) -> Result<()> {
+    if meta.is_file() {
+        Ok(())
+    } else {
+        Err(TraceError::Io(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "not a regular file",
+        )))
+    }
+}
+
+/// Read and parse a kernel file. The path must name a regular file
+/// ([`require_regular_file`]), checked before any `open`. Reads at most the
+/// program-text bound of the trace decoders; a longer file is
+/// [`TraceError::TooLarge`].
 pub fn import_kernel_file(path: impl AsRef<Path>) -> Result<Program> {
+    let path = path.as_ref();
+    require_regular_file(&std::fs::metadata(path)?)?;
     let mut bytes = Vec::new();
     File::open(path)?
         .take(text::MAX_PROGRAM_BYTES + 1)
@@ -71,7 +90,7 @@ pub fn import_kernel_file(path: impl AsRef<Path>) -> Result<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::TraceError;
+    use std::time::Duration;
     use virtclust_uarch::{ArchReg, OpClass, RegClass, SteerHint};
 
     const DOTPROD: &str = "\
@@ -178,6 +197,43 @@ i br r3
         std::fs::write(&path, vec![b'#'; text::MAX_PROGRAM_BYTES as usize + 1]).unwrap();
         let err = import_kernel_file(&path).unwrap_err();
         assert!(matches!(err, TraceError::TooLarge(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn kernel_paths_that_are_not_regular_files_fail_at_once() {
+        let dir = std::env::temp_dir().join(format!("virtclust-knotfile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let fifo = dir.join("fifo.kernel");
+        let status = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .expect("mkfifo runs");
+        assert!(status.success(), "mkfifo {}", fifo.display());
+        let subdir = dir.join("dir.kernel");
+        std::fs::create_dir_all(&subdir).unwrap();
+        for path in [fifo, subdir] {
+            // On a helper thread: opening the FIFO would block until a
+            // writer appeared, and the test must fail, not hang.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let opened = path.clone();
+            std::thread::spawn(move || {
+                tx.send(import_kernel_file(&opened).map(|_| ())).ok();
+            });
+            let got = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|e| panic!("{} did not fail at once: {e}", path.display()));
+            match got {
+                Err(TraceError::Io(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{}", path.display());
+                    assert_eq!(e.to_string(), "not a regular file");
+                }
+                other => panic!(
+                    "{}: expected not a regular file, got {other:?}",
+                    path.display()
+                ),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

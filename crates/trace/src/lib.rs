@@ -77,7 +77,7 @@ pub mod text;
 pub mod writer;
 
 pub use error::{Result, TraceError};
-pub use import::{import_kernel_file, parse_kernel};
+pub use import::{import_kernel_file, parse_kernel, require_regular_file};
 pub use reader::TraceReader;
 pub use record::{default_branch_pc, RawRecord};
 pub use writer::TraceWriter;

@@ -15,16 +15,16 @@ use crate::{binary, text, Codec};
 /// be resident in memory.
 ///
 /// The reader implements [`TraceSource`], so a `virtclust_sim::SimSession`
-/// runs it in place of the live workload expander. For replay under a different steering scheme, swap
-/// the embedded program's annotations with [`TraceReader::set_program`]:
-/// every subsequent record picks up the new hints, because on-disk records
-/// carry only dynamic facts.
+/// runs it in place of the live workload expander. For replay under a
+/// different steering scheme, swap the embedded program's annotations with
+/// [`TraceReader::set_program`]: every subsequent record picks up the new
+/// hints, because on-disk records carry only dynamic facts.
 ///
 /// The byte source must be seekable ([`Seek`]) so the reader can
 /// [`TraceReader::rewind`] to the first record without reopening the file
-/// or re-parsing the header and embedded program — the batch engine replays
-/// one parsed trace many times this way. In-memory sources wrap their bytes
-/// in [`std::io::Cursor`].
+/// or re-parsing the header and embedded program, and one parsed trace can
+/// feed many simulations. In-memory sources wrap their bytes in
+/// [`std::io::Cursor`].
 pub struct TraceReader<R: BufRead> {
     r: R,
     codec: Codec,
@@ -172,21 +172,6 @@ impl<R: BufRead> TraceReader<R> {
     /// The codec the file was written with.
     pub fn codec(&self) -> Codec {
         self.codec
-    }
-
-    /// The record count declared in the header, if any.
-    pub fn declared_len(&self) -> Option<u64> {
-        self.declared
-    }
-
-    /// Records materialised so far.
-    pub fn records_read(&self) -> u64 {
-        self.read
-    }
-
-    /// True once the `end` footer has been consumed.
-    pub fn finished(&self) -> bool {
-        self.done
     }
 
     /// Replace the embedded program — the replay hook. `program` must have
@@ -396,10 +381,9 @@ mod tests {
             let mut reader = TraceReader::new(std::io::Cursor::new(&buf)).unwrap();
             assert_eq!(reader.codec(), codec);
             assert_eq!(reader.program(), &p);
-            assert_eq!(reader.declared_len(), Some(uops.len() as u64));
+            assert_eq!(reader.len_hint(), Some(uops.len() as u64));
             let back = reader.read_all().unwrap();
             assert_eq!(back, uops, "{codec:?}");
-            assert!(reader.finished());
             assert_eq!(reader.next_record().unwrap(), None, "idempotent at end");
         }
     }
@@ -446,10 +430,7 @@ mod tests {
             // Rewind from every interesting position: untouched, mid-stream
             // and fully consumed (after the footer).
             let first = reader.read_all().unwrap();
-            assert!(reader.finished());
             reader.rewind().unwrap();
-            assert!(!reader.finished());
-            assert_eq!(reader.records_read(), 0);
             let second = reader.read_all().unwrap();
             assert_eq!(first, second, "{codec:?}");
             reader.rewind().unwrap();

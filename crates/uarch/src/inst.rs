@@ -186,7 +186,7 @@ impl fmt::Display for InstId {
 ///
 /// Register operands use architectural names; memory addresses and branch
 /// outcomes are dynamic properties supplied by the trace expander.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticInst {
     /// Operation class.
     pub op: OpClass,

@@ -19,7 +19,7 @@ use crate::reg::ArchReg;
 /// whose dynamic outcome the trace expander chooses; steering passes treat
 /// the region as a scheduling scope, exactly like an acyclic scheduling
 /// region in the paper's compiler.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     /// Region index within its program.
     pub id: u32,
@@ -95,7 +95,7 @@ impl fmt::Display for Region {
 }
 
 /// A whole static program: a set of regions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Program name (e.g. the benchmark it models).
     pub name: String,

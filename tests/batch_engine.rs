@@ -134,7 +134,8 @@ fn batched_corpus_replay_matches_one_shot_replay_trace() {
             limits: RunLimits::unlimited(),
         })
         .collect();
-    // One worker: the five cells share a single parsed, rewound reader.
+    // One worker: the five cells replay the file in turn on one reused
+    // session.
     let outcomes = EvalDriver::new(&machine).threads(1).run(&jobs);
     for (job, outcome) in jobs.iter().zip(&outcomes) {
         let one_shot =

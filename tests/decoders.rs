@@ -1,16 +1,42 @@
 //! Decoder properties over hostile input: every decoder at an untrusted
-//! boundary returns `Ok` or a typed error, never a panic. The inputs are
-//! the committed corpus (`results/traces/`) truncated, bit-flipped,
-//! overwritten, spliced, and with multi-byte characters inserted at the
-//! start of tokens, plus arbitrary fault-schedule strings. These run in
-//! debug under `cargo test`, so integer overflow panics too.
+//! boundary returns `Ok` or a typed error, never a panic, and the trace
+//! and kernel decoders never allocate much more than the bytes they were
+//! given. The inputs are the committed corpus (`results/traces/`)
+//! truncated, bit-flipped, overwritten, spliced, and with multi-byte
+//! characters inserted at the start of tokens, plus arbitrary
+//! fault-schedule strings. These run in debug under `cargo test`, so
+//! integer overflow panics too.
 
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use virtclust::core::fault::{FaultSchedule, SITES};
-use virtclust::trace::{parse_kernel, TraceReader};
+use virtclust::trace::{parse_kernel, Codec, TraceReader, TraceWriter};
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::largest_alloc;
+
+/// The most one decode of `len` input bytes may allocate at once: a
+/// constant for buffers and tables, plus a small multiple of the input,
+/// never a length or count the input claims.
+fn alloc_bound(len: usize) -> usize {
+    64 * 1024 + 4 * len
+}
+
+/// Decode `bytes` as a trace the way a replay does, one record at a time
+/// until the end or the first error, and return the largest single
+/// allocation that made.
+fn trace_decode_peak(bytes: &[u8]) -> usize {
+    let ((), largest) = largest_alloc(|| {
+        if let Ok(mut reader) = TraceReader::new(Cursor::new(bytes)) {
+            while let Ok(Some(_)) = reader.next_record() {}
+        }
+    });
+    largest
+}
 
 /// One corruption of a byte string. Positions are taken modulo the
 /// current length, so one strategy serves files of any size.
@@ -99,6 +125,30 @@ fn returns(f: impl FnOnce()) -> bool {
     catch_unwind(AssertUnwindSafe(f)).is_ok()
 }
 
+#[test]
+fn a_trace_claiming_a_huge_record_count_allocates_little() {
+    // gzip-1's 2 000 records under a header that claims a million: a
+    // decoder that sized a buffer by the claim would exceed the bound.
+    const CLAIMED: u64 = 1_000_000;
+    let mut source = TraceReader::new(Cursor::new(corpus("gzip-1.vct"))).unwrap();
+    let program = source.program().clone();
+    let uops = source.read_all().unwrap();
+    for codec in [Codec::Text, Codec::Binary] {
+        let mut bytes = Vec::new();
+        let mut writer = TraceWriter::new(&mut bytes, &program, codec, Some(CLAIMED)).unwrap();
+        for u in &uops {
+            writer.write_uop(u).unwrap();
+        }
+        writer.finish().unwrap();
+        let largest = trace_decode_peak(&bytes);
+        assert!(
+            largest <= alloc_bound(bytes.len()),
+            "{codec:?}: allocated {largest} bytes decoding {}",
+            bytes.len()
+        );
+    }
+}
+
 /// Fault-schedule pieces: every site, the syntax's punctuation and kind
 /// names, whitespace and a multi-byte character.
 const PIECES: [&str; 13] = [
@@ -127,12 +177,13 @@ proptest! {
     ) {
         let name = ["gzip-1.vct", "galgel.vctb"][file];
         let bytes = mutate(corpus(name), &edits);
-        let ok = returns(|| {
-            if let Ok(mut reader) = TraceReader::new(Cursor::new(&bytes)) {
-                let _ = reader.read_all();
-            }
-        });
+        let mut largest = 0;
+        let ok = returns(|| largest = trace_decode_peak(&bytes));
         prop_assert!(ok, "{} panicked under {:?}", name, edits);
+        prop_assert!(
+            largest <= alloc_bound(bytes.len()),
+            "{} allocated {} bytes decoding {} under {:?}", name, largest, bytes.len(), edits
+        );
     }
 
     // Kernel files reach the importer as text; invalid UTF-8 becomes the
@@ -145,10 +196,13 @@ proptest! {
         let name = ["dotprod.kernel", "smoke8.kernel"][file];
         let bytes = mutate(corpus(name), &edits);
         let text = String::from_utf8_lossy(&bytes);
-        let ok = returns(|| {
-            let _ = parse_kernel(&text);
-        });
+        let mut largest = 0;
+        let ok = returns(|| largest = largest_alloc(|| parse_kernel(&text)).1);
         prop_assert!(ok, "{} panicked under {:?}", name, edits);
+        prop_assert!(
+            largest <= alloc_bound(text.len()),
+            "{} allocated {} bytes parsing {} under {:?}", name, largest, text.len(), edits
+        );
     }
 
     #[test]

@@ -781,23 +781,23 @@ proptest! {
     // hundred micro-ops plus, on a miss, a compiler pass.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // The batch engine compiles once per (source, configuration) key in a
-    // drain and reuses the pass's hints, and keeps each finished point
-    // job's stats for later jobs of the same key. Differential oracle:
-    // every job of a random list, drained by 1, 2 and 8 workers, must equal
-    // its uncached reference — `run_point`, `replay_trace`, or a
-    // hand-annotated expander run. Each list runs twice over, so keys
-    // repeat and the second run of every point key is a hit. The pool
-    // holds four suite points under one name (they differ only in
-    // `program_seed`, `trace_seed` or `params`), run at two budgets; the
-    // list opens with each of them at both budgets under one scheme, so a
-    // result key that left out any of these fails the one-worker drain of
-    // every case. It also
-    // holds two kernels with the same instructions under different stale
-    // hints (one key: hints are cleared first), a second kernel program,
-    // and a text and a binary stored trace.
+    // The batch engine keeps each finished point and trace job's stats in
+    // the drain's result table and answers later jobs of the same key from
+    // it; a miss, and every kernel job, runs on the worker's reused
+    // session. Differential oracle: every job of a random list, drained by
+    // 1, 2 and 8 workers, must equal its uncached reference — `run_point`,
+    // `replay_trace`, or a hand-annotated expander run on a fresh machine.
+    // Each list runs twice over, so keys repeat and the second run of
+    // every point and trace key is a hit. The pool holds four suite points
+    // under one name (they differ only in `program_seed`, `trace_seed` or
+    // `params`), run at two budgets; the list opens with each of them at
+    // both budgets under one scheme, so a result key that left out any of
+    // these fails the one-worker drain of every case. It also holds two
+    // kernels with the same instructions under different stale hints
+    // (hints are cleared before the pass), a second kernel program, and a
+    // text and a binary stored trace.
     #[test]
-    fn compile_cache_is_bit_identical_to_uncached_runs(
+    fn result_table_is_bit_identical_to_uncached_runs(
         region in region_strategy(24),
         stale in prop::collection::vec(hint_strategy(), 24..25),
         other in region_strategy(12),

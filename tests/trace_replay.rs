@@ -102,7 +102,7 @@ fn codecs_roundtrip_a_100k_uop_stream_losslessly() {
         assert_eq!(w.finish().unwrap(), n);
         let mut reader = TraceReader::new(std::io::Cursor::new(&buf)).unwrap();
         assert_eq!(reader.program(), &program, "{codec:?}");
-        assert_eq!(reader.declared_len(), Some(n));
+        assert_eq!(reader.len_hint(), Some(n));
         let back = reader.read_all().unwrap();
         assert_eq!(back.len() as u64, n);
         assert_eq!(back, uops, "{codec:?} codec must be lossless at scale");
@@ -123,7 +123,7 @@ fn committed_corpus_stays_readable_and_replayable() {
         let mut reader = TraceReader::open(&path).unwrap_or_else(|e| {
             panic!("{file} no longer parses ({e}); bump FORMAT_VERSION and regenerate")
         });
-        assert_eq!(reader.declared_len(), Some(expect_uops), "{file}");
+        assert_eq!(reader.len_hint(), Some(expect_uops), "{file}");
         let uops = reader.read_all().unwrap();
         assert_eq!(uops.len() as u64, expect_uops, "{file}");
 
