@@ -223,6 +223,42 @@ mod tests {
     }
 
     #[test]
+    fn trace_paths_that_are_not_regular_files_fail_at_once() {
+        let fifo = tmp("fifo.vct");
+        let status = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .expect("mkfifo runs");
+        assert!(status.success(), "mkfifo {}", fifo.display());
+        let dir = tmp("dir.vct");
+        std::fs::create_dir_all(&dir).unwrap();
+        for path in [&fifo, &dir] {
+            // On a helper thread: opening the FIFO would block until a
+            // writer appeared, and the test must fail, not hang.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let opened = path.clone();
+            let replay = std::thread::spawn(move || {
+                let machine = MachineConfig::paper_2cluster();
+                let limits = RunLimits::unlimited();
+                let err = replay_trace(&opened, &Configuration::Op, &machine, &limits).err();
+                tx.send(err.map(|e| e.to_string())).ok();
+            });
+            let err = rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|e| panic!("{} did not fail at once: {e}", path.display()));
+            replay.join().expect("the replay thread returned");
+            let err = err.unwrap_or_else(|| panic!("{} replayed", path.display()));
+            assert!(
+                err.contains("not a regular file"),
+                "{}: {err}",
+                path.display()
+            );
+        }
+        std::fs::remove_file(&fifo).ok();
+        std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
     fn text_and_binary_codecs_replay_identically() {
         let machine = MachineConfig::paper_2cluster();
         let p = point("gzip-1");

@@ -6,6 +6,13 @@
 //! dedicated buses" — so cache behaviour is identical across steering
 //! policies and cluster counts, which is exactly the paper's setup (steering
 //! changes copies and balance, not the cache stream).
+//!
+//! Each level keeps its line state in two parallel word arrays, tags and
+//! LRU stamps (16 bytes a line), and validates lines by run epoch instead
+//! of clearing them: a reset of an unchanged geometry writes one word, and
+//! a new cache is a zeroed allocation whose untouched pages are never
+//! written. A lookup is one pass over its set that hits, or installs the
+//! line in the same pass.
 
 use virtclust_uarch::{CacheConfig, MachineConfig};
 
@@ -23,40 +30,46 @@ pub enum LoadPath {
     Forward,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    lru: u64,
-}
-
 /// A set-associative cache with true-LRU replacement.
+///
+/// Line `i` holds `tags[i]` only if `stamps[i]`, the value of `stamp` when
+/// the line was last touched, is newer than `epoch`, the value of `stamp`
+/// at the last reset. Every lookup bumps `stamp`, so valid lines' stamps
+/// are unique and order them by recency; `stamp` never goes back, so a
+/// reset only moves `epoch` up to it. Within a set the valid ways form a
+/// prefix, since a miss fills the first invalid way and only a reset
+/// invalidates.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    lines: Vec<Line>,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
     ways: usize,
     sets: usize,
     line_shift: u32,
     stamp: u64,
+    epoch: u64,
 }
 
 impl Cache {
     /// Build from a [`CacheConfig`] and a line size.
     pub fn new(cfg: &CacheConfig, line_bytes: usize) -> Self {
         let mut cache = Cache {
-            lines: Vec::new(),
+            tags: Vec::new(),
+            stamps: Vec::new(),
             ways: 1,
             sets: 1,
             line_shift: 0,
             stamp: 0,
+            epoch: 0,
         };
         cache.reset(cfg, line_bytes);
         cache
     }
 
     /// Invalidate every line and retarget to a possibly different geometry.
-    /// The line array is reused when the geometry is unchanged, so a reset
-    /// is a memset rather than an allocation (session reuse).
+    /// With the line count unchanged this writes no line, only `epoch`;
+    /// any other count gets fresh zeroed arrays, whose pages the OS hands
+    /// out zeroed and which are only written where a run touches them.
     pub fn reset(&mut self, cfg: &CacheConfig, line_bytes: usize) {
         assert!(
             line_bytes.is_power_of_two(),
@@ -64,71 +77,47 @@ impl Cache {
         );
         let sets = cfg.sets(line_bytes);
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        self.lines.clear();
-        self.lines.resize(sets * cfg.ways, Line::default());
+        let lines = sets * cfg.ways;
+        if self.tags.len() != lines {
+            self.tags = vec![0; lines];
+            self.stamps = vec![0; lines];
+        }
         self.ways = cfg.ways;
         self.sets = sets;
         self.line_shift = line_bytes.trailing_zeros();
-        self.stamp = 0;
+        self.epoch = self.stamp;
     }
 
-    #[inline]
-    fn index(&self, addr: u64) -> (usize, u64) {
+    /// Look up the line holding `addr` and make it the most recently used.
+    /// Returns whether it was resident; a miss installs it over the set's
+    /// first invalid way, else over its least recently used one.
+    pub fn touch(&mut self, addr: u64) -> bool {
+        self.stamp += 1;
+        let (now, epoch) = (self.stamp, self.epoch);
         let block = addr >> self.line_shift;
         let set = (block as usize) & (self.sets - 1);
         let tag = block >> self.sets.trailing_zeros();
-        (set, tag)
-    }
-
-    /// Look up `addr`; on hit, update LRU and return true. Does **not**
-    /// allocate on miss — call [`Cache::fill`] for that.
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.stamp += 1;
-        let (set, tag) = self.index(addr);
         let base = set * self.ways;
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.stamp;
+        let tags = &mut self.tags[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
+        let mut victim = 0;
+        for way in 0..tags.len() {
+            if stamps[way] <= epoch {
+                // The valid prefix ends here: no later way can hit.
+                victim = way;
+                break;
+            }
+            if tags[way] == tag {
+                stamps[way] = now;
                 return true;
             }
-        }
-        false
-    }
-
-    /// Probe without touching LRU state.
-    pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
-    }
-
-    /// Install the line containing `addr`, evicting the LRU way.
-    pub fn fill(&mut self, addr: u64) {
-        self.stamp += 1;
-        let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        // Already present (racing fills)? Just touch it.
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.stamp;
-                return;
+            if stamps[way] < stamps[victim] {
+                victim = way;
             }
         }
-        let victim = (0..self.ways)
-            .min_by_key(|&w| {
-                let l = &self.lines[base + w];
-                (l.valid, l.lru)
-            })
-            .expect("ways >= 1");
-        self.lines[base + victim] = Line {
-            tag,
-            valid: true,
-            lru: self.stamp,
-        };
+        tags[victim] = tag;
+        stamps[victim] = now;
+        false
     }
 }
 
@@ -196,17 +185,13 @@ impl MemorySystem {
         Some(self.load_untimed(addr))
     }
 
-    /// The load path without port arbitration (used at warm-up and by
-    /// tests).
-    pub fn load_untimed(&mut self, addr: u64) -> (u32, LoadPath) {
-        if self.l1.access(addr) {
+    /// The load path without port arbitration.
+    fn load_untimed(&mut self, addr: u64) -> (u32, LoadPath) {
+        if self.l1.touch(addr) {
             (self.l1_hit, LoadPath::L1Hit)
-        } else if self.l2.access(addr) {
-            self.l1.fill(addr);
+        } else if self.l2.touch(addr) {
             (self.l2_hit, LoadPath::L2Hit)
         } else {
-            self.l2.fill(addr);
-            self.l1.fill(addr);
             (self.mem_latency, LoadPath::Mem)
         }
     }
@@ -218,18 +203,10 @@ impl MemorySystem {
             return false;
         }
         self.writes_this_cycle += 1;
-        if !self.l1.access(addr) {
-            if !self.l2.access(addr) {
-                self.l2.fill(addr);
-            }
-            self.l1.fill(addr);
+        if !self.l1.touch(addr) {
+            self.l2.touch(addr);
         }
         true
-    }
-
-    /// L1 read ports per cycle.
-    pub fn read_ports(&self) -> usize {
-        self.read_ports
     }
 }
 
@@ -237,26 +214,28 @@ impl MemorySystem {
 mod tests {
     use super::*;
 
-    fn small_cache() -> Cache {
-        // 4 sets x 2 ways x 64B lines = 512 B
-        let cfg = CacheConfig {
-            size_bytes: 512,
-            ways: 2,
+    fn config(size_bytes: usize, ways: usize) -> CacheConfig {
+        CacheConfig {
+            size_bytes,
+            ways,
             hit_latency: 3,
             read_ports: 2,
             write_ports: 1,
-        };
-        Cache::new(&cfg, 64)
+        }
+    }
+
+    fn small_cache() -> Cache {
+        // 4 sets x 2 ways x 64B lines = 512 B
+        Cache::new(&config(512, 2), 64)
     }
 
     #[test]
-    fn miss_then_fill_then_hit() {
+    fn miss_installs_then_hits() {
         let mut c = small_cache();
-        assert!(!c.access(0x1000));
-        c.fill(0x1000);
-        assert!(c.access(0x1000));
-        assert!(c.access(0x1038), "same 64B line");
-        assert!(!c.access(0x1040), "next line");
+        assert!(!c.touch(0x1000));
+        assert!(c.touch(0x1000));
+        assert!(c.touch(0x1038), "same 64B line");
+        assert!(!c.touch(0x1040), "next line");
     }
 
     #[test]
@@ -264,24 +243,33 @@ mod tests {
         let mut c = small_cache();
         // Three addresses mapping to the same set (stride = sets * line = 256B).
         let (a, b, d) = (0x0u64, 0x100u64, 0x200u64);
-        c.fill(a);
-        c.fill(b);
-        assert!(c.access(a)); // a most recent
-        c.fill(d); // evicts b
-        assert!(c.probe(a));
-        assert!(!c.probe(b));
-        assert!(c.probe(d));
+        assert!(!c.touch(a));
+        assert!(!c.touch(b));
+        assert!(c.touch(a)); // a most recent
+        assert!(!c.touch(d)); // evicts b
+        assert!(c.touch(a));
+        assert!(c.touch(d));
+        assert!(!c.touch(b));
     }
 
     #[test]
-    fn fill_of_resident_line_does_not_duplicate() {
+    fn a_line_touched_before_a_reset_misses_after_it() {
         let mut c = small_cache();
-        c.fill(0x40);
-        c.fill(0x40);
-        c.fill(0x140); // same set
-                       // both lines should be resident (2 ways)
-        assert!(c.probe(0x40));
-        assert!(c.probe(0x140));
+        let arrays = (c.tags.as_ptr(), c.stamps.as_ptr());
+        for _ in 0..1_000 {
+            assert!(!c.touch(0x40));
+            assert!(c.touch(0x40));
+            c.reset(&config(512, 2), 64);
+        }
+        assert_eq!((c.tags.as_ptr(), c.stamps.as_ptr()), arrays, "reused");
+        // Another geometry, of the same or another size, starts empty:
+        // set 0's four ways all fill before one is evicted.
+        for (size, stride) in [(512, 0x80), (1024, 0x100)] {
+            c.reset(&config(size, 4), 64);
+            let set0 = [0, stride, 2 * stride, 3 * stride];
+            assert!(set0.iter().all(|&a| !c.touch(a)), "{size} B");
+            assert!(set0.iter().all(|&a| c.touch(a)), "{size} B");
+        }
     }
 
     #[test]
@@ -315,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn read_ports_limit_loads_per_cycle() {
+    fn loads_per_cycle_are_limited_by_read_ports() {
         let cfg = MachineConfig::default();
         let mut m = MemorySystem::new(&cfg);
         m.begin_cycle();

@@ -33,9 +33,11 @@
 //! session and calls [`SimSession::simulate`] per run, serving an
 //! arbitrary stream of heterogeneous jobs (different machine
 //! configurations, steering policies and trace sources) without the
-//! per-run setup cost — the state a 2-cluster machine allocates up front
-//! (L2 line array, predictor tables, event calendar) is on the order of a
-//! megabyte, all of which a reset simply re-zeroes.
+//! per-run setup cost. The largest state a 2-cluster machine allocates up
+//! front, the L2's 512 KiB of tags and LRU stamps, is never re-zeroed: a
+//! reset moves each cache's run epoch, which invalidates every line in one
+//! write, and a new session's line arrays are zeroed allocations whose
+//! pages are only written where a run touches them.
 //!
 //! The contract, enforced by tests here, in `crates/core` and in the
 //! workspace `tests/properties.rs`, is **bit-identical statistics**: a
@@ -563,8 +565,9 @@ impl SimSession {
 
     /// Return the session to the initial state of a machine configured by
     /// `cfg`, clearing buffers in place. After a reset the session behaves
-    /// exactly like `SimSession::new(cfg)`; the cost is a handful of
-    /// memsets over retained allocations.
+    /// exactly like `SimSession::new(cfg)`. The caches invalidate their
+    /// lines by run epoch without writing them, so the cost is the clears
+    /// of the other buffers, a few microseconds for the paper's machines.
     ///
     /// # Panics
     /// Panics if `cfg` fails [`MachineConfig::validate`].

@@ -13,7 +13,7 @@ use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-use virtclust_trace::frame::read_frame;
+use virtclust_trace::frame::{read_frame, MAX_FRAME_LEN};
 use virtclust_trace::{Result as TraceResult, TraceError};
 
 use crate::wire::{
@@ -133,7 +133,7 @@ impl Client {
     /// compat).
     pub fn recv(&mut self) -> TraceResult<Option<ServerMsg>> {
         loop {
-            let Some((msg_type, body)) = read_frame(&mut self.stream)? else {
+            let Some((msg_type, body)) = read_frame(&mut self.stream, MAX_FRAME_LEN)? else {
                 return Ok(None);
             };
             if let Some(m) = decode_server(msg_type, &body)? {

@@ -49,5 +49,5 @@ pub use sched::{SchedConfig, Scheduler};
 pub use server::{Server, ServerBuilder, CANCELLED_BEFORE_START};
 pub use wire::{
     resolve_spec, stats_digest, BusyReason, ClientMsg, JobSpec, Priority, ServerMsg, Submit,
-    SvcStats, WireResult, WireStats, MAX_JOB_UOPS,
+    SvcStats, WireResult, WireStats, MAX_CLIENT_FRAME_LEN, MAX_JOB_UOPS,
 };

@@ -48,6 +48,7 @@ use crate::sched::{Drained, SchedConfig, Scheduler};
 use crate::wire::{
     decode_client, encode_server, recv_preamble, resolve_spec, send_preamble, stats_digest,
     BusyReason, ClientMsg, Priority, ServerMsg, Submit, SvcStats, WireResult, WireStats,
+    MAX_CLIENT_FRAME_LEN,
 };
 
 /// What a cancelled-before-start job reports as its error.
@@ -69,8 +70,9 @@ const WRITE_STALL: Duration = Duration::from_secs(5);
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Live socket connections. Each costs two threads, two descriptors and
-/// up to one `MAX_FRAME_LEN` frame in its reader; a connection past the
-/// cap is closed as soon as it is accepted.
+/// up to one [`MAX_CLIENT_FRAME_LEN`] frame in its reader (64 × 16 KiB of
+/// frames in all); a connection past the cap is closed as soon as it is
+/// accepted.
 const MAX_CONNS: usize = 64;
 
 /// A socket connection's encoded server→client frames. Workers and the
@@ -570,7 +572,8 @@ fn read_loop(inner: &SvcInner, id: u64, outbox: Arc<Outbox>, stream: Stream) {
     if recv_preamble(&mut from_client).is_ok() {
         while outbox.wait_for_room() {
             // EOF, a broken frame or a dead socket all end the connection.
-            let Ok(Some((msg_type, body))) = read_frame(&mut from_client) else {
+            let Ok(Some((msg_type, body))) = read_frame(&mut from_client, MAX_CLIENT_FRAME_LEN)
+            else {
                 break;
             };
             match decode_client(msg_type, &body) {

@@ -131,6 +131,12 @@ impl std::fmt::Display for BusyReason {
 /// uncapped.
 pub const MAX_JOB_UOPS: u64 = 10_000_000;
 
+/// The longest client frame (type byte and body) the daemon reads. Client
+/// frames hold names, paths and integers: a [`Submit`] naming a
+/// 4 096-byte path fits with room to spare. A longer length prefix ends
+/// the connection before any of its body is read.
+pub const MAX_CLIENT_FRAME_LEN: u64 = 16 * 1024;
+
 /// A job as it travels on the wire: names and paths, resolved server-side.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {

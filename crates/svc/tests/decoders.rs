@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 use virtclust_svc::wire::{decode_client, encode_client, msg, split_frame};
 use virtclust_svc::{ClientMsg, JobSpec, Priority, Submit};
-use virtclust_trace::frame::read_frame;
+use virtclust_trace::frame::{read_frame, MAX_FRAME_LEN};
 use virtclust_trace::TraceError;
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -41,7 +41,7 @@ fn a_frame_claiming_16_mib_on_an_8_byte_stream_allocates_little() {
     let mut stream = CLAIMS_16_MIB.to_vec();
     stream.extend_from_slice(&[msg::SUBMIT, 1, 0, 0]);
     assert_eq!(stream.len(), 8);
-    let (read, largest) = largest_alloc(|| read_frame(&mut stream.as_slice()));
+    let (read, largest) = largest_alloc(|| read_frame(&mut stream.as_slice(), MAX_FRAME_LEN));
     match read {
         Err(TraceError::Corrupt(m)) => assert_eq!(m, "stream ends inside a frame"),
         other => panic!("expected a cut frame, got {other:?}"),

@@ -14,7 +14,7 @@ use virtclust_core::{EvalDriver, EvalJob, ResilientOptions};
 use virtclust_svc::wire::{decode_server, encode_client, recv_preamble, send_preamble};
 use virtclust_svc::{
     resolve_spec, stats_digest, BusyReason, Client, ClientMsg, JobSpec, Priority, Server,
-    ServerBuilder, ServerMsg, Submit, CANCELLED_BEFORE_START,
+    ServerBuilder, ServerMsg, Submit, CANCELLED_BEFORE_START, MAX_CLIENT_FRAME_LEN,
 };
 use virtclust_trace::frame::{put_u64, read_frame, MAX_FRAME_LEN};
 use virtclust_uarch::MachineConfig;
@@ -247,7 +247,9 @@ fn kernel_submit_error(name: &str, kernel: &Path) -> String {
     encode_client(&mut frames, &ClientMsg::Submit(normal(7, &spec))).unwrap();
     encode_client(&mut frames, &ClientMsg::Shutdown).unwrap();
     conn.write_all(&frames).unwrap();
-    let (msg_type, body) = read_frame(&mut conn).unwrap().expect("a reply");
+    let (msg_type, body) = read_frame(&mut conn, MAX_FRAME_LEN)
+        .unwrap()
+        .expect("a reply");
     let err = match decode_server(msg_type, &body).unwrap() {
         Some(ServerMsg::Result(r)) => {
             assert_eq!(r.ticket, 7);
@@ -256,7 +258,7 @@ fn kernel_submit_error(name: &str, kernel: &Path) -> String {
         other => panic!("expected a Result frame, got {other:?}"),
     };
     assert!(
-        read_frame(&mut conn).unwrap().is_none(),
+        read_frame(&mut conn, MAX_FRAME_LEN).unwrap().is_none(),
         "EOF after shutdown"
     );
     server.join().expect("every daemon thread survived");
@@ -524,4 +526,27 @@ fn hostile_clients_neither_stop_nor_skew_the_daemon() {
     server.join().unwrap();
     assert!(!sock.exists(), "socket file removed on exit");
     drop(flooder);
+}
+
+#[test]
+fn a_client_frame_past_the_cap_ends_its_connection_at_once() {
+    let builder = ServerBuilder::new(&MachineConfig::paper_2cluster()).threads(1);
+    let (server, sock) = unix_server("frame-cap", builder);
+    let mut client = Client::connect_unix(&sock).unwrap();
+    // A length prefix one byte over the cap and no body: a reader that
+    // waited for the body would hold the connection until the read here
+    // timed out.
+    let mut oversized = handshake(&sock);
+    let mut prefix = Vec::new();
+    put_u64(&mut prefix, MAX_CLIENT_FRAME_LEN + 1);
+    oversized.write_all(&prefix).unwrap();
+    assert!(closed_by_daemon(oversized), "oversized frame not refused");
+
+    client
+        .submit(&normal(1, &op_point("gzip-1", 2_000)))
+        .unwrap();
+    let r = client.recv_result(accepted).unwrap().expect("server alive");
+    assert!(r.outcome.is_ok(), "{:?}", r.outcome);
+    server.shutdown();
+    server.join().expect("every daemon thread survived");
 }

@@ -14,10 +14,10 @@
 //! The length prefix covers the type byte, so a reader that does not know
 //! a `msg_type` can still consume the frame exactly and move on — the
 //! same forward-compat posture as the trace format's versioned header.
-//! Frames longer than [`MAX_FRAME_LEN`] are rejected as
-//! [`TraceError::Corrupt`] before any allocation, and a frame's buffer
-//! grows as its bytes arrive, so a garbled length prefix cannot ask the
-//! reader for more memory than the stream delivers.
+//! A frame longer than its reader accepts (at most [`MAX_FRAME_LEN`]) is
+//! rejected as [`TraceError::Corrupt`] before any of its body is read,
+//! and a frame's buffer grows as its bytes arrive, so a garbled length
+//! prefix cannot ask the reader for more memory than the stream delivers.
 //!
 //! ```
 //! use virtclust_trace::frame;
@@ -27,8 +27,9 @@
 //! frame::write_frame(&mut buf, 7, b"payload").unwrap();
 //! let mut r = buf.as_slice();
 //! assert_eq!(frame::read_preamble(&mut r, b"DEMO", 1).unwrap(), 1);
-//! assert_eq!(frame::read_frame(&mut r).unwrap(), Some((7, b"payload".to_vec())));
-//! assert_eq!(frame::read_frame(&mut r).unwrap(), None, "clean EOF");
+//! let cap = frame::MAX_FRAME_LEN;
+//! assert_eq!(frame::read_frame(&mut r, cap).unwrap(), Some((7, b"payload".to_vec())));
+//! assert_eq!(frame::read_frame(&mut r, cap).unwrap(), None, "clean EOF");
 //! ```
 
 use std::io::{Read, Write};
@@ -93,12 +94,13 @@ pub fn write_frame<W: Write>(w: &mut W, msg_type: u8, body: &[u8]) -> Result<()>
     Ok(())
 }
 
-/// Read one frame. Returns `Ok(None)` on a clean end of stream (EOF
-/// exactly at a frame boundary); a stream that ends *inside* a frame is
-/// [`TraceError::Corrupt`]. Unknown message types are the caller's to
-/// skip — the frame is already fully consumed, so ignoring the returned
-/// pair is a correct skip.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>> {
+/// Read one frame of at most `max_len` bytes (type byte and body). Returns `Ok(None)` on a clean end of stream (EOF
+/// exactly at a frame boundary); a stream that ends *inside* a frame, or
+/// a length prefix past the cap, is [`TraceError::Corrupt`], the latter
+/// before any of the body is read. Unknown message types are the caller's
+/// to skip — the frame is already fully consumed, so ignoring the
+/// returned pair is a correct skip.
+pub fn read_frame<R: Read>(r: &mut R, max_len: u64) -> Result<Option<(u8, Vec<u8>)>> {
     // A clean EOF is only clean before the first length byte.
     let mut first = [0u8];
     match r.read(&mut first) {
@@ -122,9 +124,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>> {
             "zero-length frame (no type byte)".into(),
         ));
     }
-    if len > MAX_FRAME_LEN {
+    if len > max_len {
         return Err(TraceError::Corrupt(format!(
-            "frame length {len} exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"
+            "frame length {len} exceeds the reader's cap ({max_len})"
         )));
     }
     let mut payload = Vec::with_capacity(len.min(PREALLOC) as usize);
@@ -178,6 +180,10 @@ pub fn take_string(body: &mut &[u8]) -> Result<String> {
 mod tests {
     use super::*;
 
+    fn read(r: &mut &[u8]) -> Result<Option<(u8, Vec<u8>)>> {
+        read_frame(r, MAX_FRAME_LEN)
+    }
+
     #[test]
     fn frames_roundtrip_and_end_cleanly() {
         let mut buf = Vec::new();
@@ -185,11 +191,11 @@ mod tests {
         write_frame(&mut buf, 200, &[0u8; 300]).unwrap();
         write_frame(&mut buf, 7, b"hello").unwrap();
         let mut r = buf.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap(), Some((1, Vec::new())));
-        assert_eq!(read_frame(&mut r).unwrap(), Some((200, vec![0u8; 300])));
-        assert_eq!(read_frame(&mut r).unwrap(), Some((7, b"hello".to_vec())));
-        assert_eq!(read_frame(&mut r).unwrap(), None);
-        assert_eq!(read_frame(&mut r).unwrap(), None, "EOF is sticky");
+        assert_eq!(read(&mut r).unwrap(), Some((1, Vec::new())));
+        assert_eq!(read(&mut r).unwrap(), Some((200, vec![0u8; 300])));
+        assert_eq!(read(&mut r).unwrap(), Some((7, b"hello".to_vec())));
+        assert_eq!(read(&mut r).unwrap(), None);
+        assert_eq!(read(&mut r).unwrap(), None, "EOF is sticky");
     }
 
     #[test]
@@ -200,9 +206,9 @@ mod tests {
         write_frame(&mut buf, 250, b"from the future").unwrap();
         write_frame(&mut buf, 1, b"known").unwrap();
         let mut r = buf.as_slice();
-        let (t, _) = read_frame(&mut r).unwrap().unwrap();
+        let (t, _) = read(&mut r).unwrap().unwrap();
         assert_eq!(t, 250); // caller shrugs and drops it
-        assert_eq!(read_frame(&mut r).unwrap(), Some((1, b"known".to_vec())));
+        assert_eq!(read(&mut r).unwrap(), Some((1, b"known".to_vec())));
     }
 
     #[test]
@@ -211,7 +217,7 @@ mod tests {
         write_frame(&mut buf, 3, b"abcdef").unwrap();
         let cut = &buf[..buf.len() - 2];
         let mut r = cut;
-        assert!(matches!(read_frame(&mut r), Err(TraceError::Corrupt(_))));
+        assert!(matches!(read(&mut r), Err(TraceError::Corrupt(_))));
     }
 
     #[test]
@@ -219,17 +225,22 @@ mod tests {
         let mut buf = Vec::new();
         write_varint(&mut buf, MAX_FRAME_LEN + 1).unwrap();
         assert!(matches!(
-            read_frame(&mut buf.as_slice()),
+            read(&mut buf.as_slice()),
             Err(TraceError::Corrupt(_))
         ));
         let mut buf = Vec::new();
         write_varint(&mut buf, 0).unwrap();
         assert!(matches!(
-            read_frame(&mut buf.as_slice()),
+            read(&mut buf.as_slice()),
             Err(TraceError::Corrupt(_))
         ));
         // The writer refuses to emit one too.
         assert!(write_frame(&mut Vec::new(), 0, &vec![0u8; MAX_FRAME_LEN as usize]).is_err());
+        // A reader's own cap counts the type byte.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 1, &[0u8; 16]).unwrap();
+        assert!(read_frame(&mut buf.as_slice(), 16).is_err());
+        assert!(read_frame(&mut buf.as_slice(), 17).unwrap().is_some());
     }
 
     #[test]

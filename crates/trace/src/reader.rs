@@ -7,6 +7,7 @@ use std::path::Path;
 use virtclust_uarch::{DynUop, Program, RewindError, TraceSource};
 
 use crate::error::{Result, TraceError};
+use crate::import::require_regular_file;
 use crate::record::RawRecord;
 use crate::{binary, text, Codec};
 
@@ -45,7 +46,12 @@ pub struct TraceReader<R: BufRead> {
 
 impl TraceReader<BufReader<File>> {
     /// Open a trace file, auto-detecting the codec from its first bytes.
+    /// The path must name a regular file ([`require_regular_file`]),
+    /// checked before the `open`, which would block on a FIFO with no
+    /// writer.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        let path = path.as_ref();
+        require_regular_file(&std::fs::metadata(path)?)?;
         Self::new(BufReader::new(File::open(path)?))
     }
 }

@@ -10,12 +10,12 @@ use virtclust::compiler::{
 use virtclust::core::{replay_trace, run_point, Configuration, EvalDriver, EvalJob};
 use virtclust::ddg::{Criticality, Ddg};
 use virtclust::sim::{
-    LoadCheck, Lsq, RunLimits, SimSession, SteerDecision, SteerView, SteeringPolicy,
+    Cache, LoadCheck, Lsq, RunLimits, SimSession, SteerDecision, SteerView, SteeringPolicy,
 };
 use virtclust::trace::{Codec, TraceReader, TraceWriter};
 use virtclust::uarch::{
-    ArchReg, DynUop, LatencyModel, MachineConfig, OpClass, Program, Region, SliceTrace, StaticInst,
-    SteerHint, TraceSource, VecTrace,
+    ArchReg, CacheConfig, DynUop, LatencyModel, MachineConfig, OpClass, Program, Region,
+    SliceTrace, StaticInst, SteerHint, TraceSource, VecTrace,
 };
 use virtclust::workloads::{spec2000_points, KernelParams, TraceExpander, TracePoint};
 
@@ -372,6 +372,84 @@ proptest! {
         lsq.alloc(1, false);
         for line in 0..6u8 {
             prop_assert_eq!(lsq.check_load(1, lsq_addr(line, 0)), LoadCheck::GoToCache);
+        }
+    }
+}
+
+/// One step of a cache script: touch one of a few lines crowding the
+/// first four sets, or reset, to the same geometry (`None`) or to
+/// `ways` ways and `1 << log2_sets` sets.
+#[derive(Debug, Clone, Copy)]
+enum CacheStep {
+    Touch { set: u64, tag: u64, offset: u64 },
+    Reset(Option<(usize, u32)>),
+}
+
+fn cache_config((ways, log2_sets): (usize, u32)) -> CacheConfig {
+    CacheConfig {
+        size_bytes: (ways << log2_sets) * 64,
+        ways,
+        hit_latency: 1,
+        read_ports: 1,
+        write_ports: 1,
+    }
+}
+
+fn cache_script_strategy() -> impl Strategy<Value = Vec<CacheStep>> {
+    prop::collection::vec(
+        (0u8..40, 0u64..4, 0u64..24, 0u64..64, 1usize..17, 0u32..7).prop_map(
+            |(kind, set, tag, offset, ways, log2_sets)| match kind {
+                0 => CacheStep::Reset(None),
+                1 => CacheStep::Reset(Some((ways, log2_sets))),
+                _ => CacheStep::Touch { set, tag, offset },
+            },
+        ),
+        1..600,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The cache model against a naive LRU that keeps each set's tags in
+    // recency order: every touch must hit or miss as the reference does,
+    // across resets that keep the geometry and resets that change it.
+    #[test]
+    fn cache_matches_a_reference_lru_across_resets(
+        start in (1usize..17, 0u32..7),
+        script in cache_script_strategy(),
+    ) {
+        let mut geometry = start;
+        let mut cache = Cache::new(&cache_config(geometry), 64);
+        // Each set's resident tags, least recently used first.
+        let mut sets: Vec<Vec<u64>> = vec![Vec::new(); 1 << geometry.1];
+        for (i, step) in script.into_iter().enumerate() {
+            match step {
+                CacheStep::Reset(to) => {
+                    geometry = to.unwrap_or(geometry);
+                    cache.reset(&cache_config(geometry), 64);
+                    sets = vec![Vec::new(); 1 << geometry.1];
+                }
+                CacheStep::Touch { set, tag, offset } => {
+                    let set = set % sets.len() as u64;
+                    let addr = (((tag << geometry.1) | set) << 6) | offset;
+                    let lru = &mut sets[set as usize];
+                    let hit = match lru.iter().position(|&t| t == tag) {
+                        Some(at) => {
+                            lru.remove(at);
+                            true
+                        }
+                        None => {
+                            if lru.len() == geometry.0 {
+                                lru.remove(0);
+                            }
+                            false
+                        }
+                    };
+                    lru.push(tag);
+                    prop_assert_eq!(cache.touch(addr), hit, "step {} addr {:#x}", i, addr);
+                }
+            }
         }
     }
 }
