@@ -307,7 +307,7 @@ fn run(args: &Args, cmd: &str, operands: &[String]) -> Result<(), String> {
                     let (outcomes, report) = driver.run_resilient(&jobs, &opts, progress);
                     (outcomes, Some(report))
                 }
-                None => (driver.run_streaming(&jobs, progress), None),
+                None => (driver.run_with_metrics(&jobs, progress).0, None),
             };
 
             // Per-file identical-commit check (the `compare` contract).

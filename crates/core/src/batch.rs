@@ -44,13 +44,14 @@
 //!   errors re-attempt after a full worker-state rebuild, so a retried
 //!   success is bit-identical to a fault-free run (the session
 //!   bit-identity contract: a rebuilt worker *is* a fresh machine).
-//! * **Deadlines and cancellation** — per-job wall-clock deadlines and a
-//!   batch-level [`CancelToken`] ride the cooperative interrupt checks
-//!   inside [`SimSession`]'s run loop (one relaxed load per
-//!   `CHECK_INTERVAL_CYCLES`, composing with cycle skipping): running
-//!   jobs stop at the next check, queued jobs resolve to
-//!   [`JobError::Cancelled`] without running, and the worker's session
-//!   resets cleanly for whatever comes next.
+//! * **Deadlines and cancellation** — per-job wall-clock deadlines and
+//!   the [`CancelToken`] a [`SourcedJob`] carries ride the cooperative
+//!   interrupt checks inside [`SimSession`]'s run loop (one relaxed load
+//!   per `CHECK_INTERVAL_CYCLES`, composing with cycle skipping): a
+//!   running job stops at the next check, a job whose token was cancelled
+//!   before it started resolves to [`JobError::Cancelled`] without
+//!   running, and the worker's session resets cleanly for whatever comes
+//!   next.
 //!
 //! `run_matrix` is now one [`EvalDriver::run`] call, so every figure,
 //! metric and replay-comparison path in the repo goes through the batch
@@ -66,8 +67,8 @@
 //! evaluation service) implements the trait over its priority queues —
 //! both drain through [`EvalDriver::drain_source`], the one worker loop,
 //! so batch and service execution are the same code path. A [`SourcedJob`]
-//! may carry its own cancellation token and deadline (per-client fan-out),
-//! composing with the batch-level [`ResilientOptions`].
+//! may carry a cancellation token, the job's only cancellation source, and
+//! a deadline, which composes with the one in [`ResilientOptions`].
 //!
 //! Driver-side seams degrade, never panic: outcome collection recovers
 //! from a poisoned slot mutex ([`std::sync::PoisonError::into_inner`] —
@@ -90,7 +91,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use virtclust_obs::Counter;
 use virtclust_sim::{CancelToken, RunLimits, SimSession, SimStats, StopCause};
 use virtclust_trace::{TraceError, TraceReader};
 use virtclust_uarch::{MachineConfig, Program};
@@ -192,7 +192,7 @@ pub trait JobSource: Sync {
 }
 
 /// One job handed out by a [`JobSource`], with optional per-job interrupt
-/// overrides (a service's per-client cancellation token, a per-request
+/// sources (a service connection's cancellation token, a per-request
 /// deadline). The `ticket` is the source's own identifier for the job and
 /// is passed through verbatim to the [`JobDone`] delivery.
 #[derive(Debug)]
@@ -202,9 +202,10 @@ pub struct SourcedJob<'a> {
     /// The job itself; borrowed for slice sources, owned for queues that
     /// hand over their jobs.
     pub job: Cow<'a, EvalJob>,
-    /// Per-job cancellation token. When set it **replaces** the batch
-    /// token ([`ResilientOptions::token`]) for this job's run; batch-level
-    /// cancellation is still honoured before the job starts.
+    /// The job's cancellation token, its only cancellation source:
+    /// cancelled before the job starts, the job resolves to
+    /// [`JobError::Cancelled`] without running; cancelled while it runs,
+    /// the run stops at its next cooperative check.
     pub token: Option<CancelToken>,
     /// Per-job wall-clock budget; the effective deadline is the smaller
     /// of this and [`ResilientOptions::deadline`].
@@ -212,7 +213,7 @@ pub struct SourcedJob<'a> {
 }
 
 impl<'a> SourcedJob<'a> {
-    /// A sourced job with no per-job interrupt overrides.
+    /// A sourced job with no token and no deadline of its own.
     pub fn new(ticket: u64, job: Cow<'a, EvalJob>) -> Self {
         SourcedJob {
             ticket,
@@ -230,8 +231,6 @@ impl<'a> SourcedJob<'a> {
 pub struct JobDone {
     /// The [`SourcedJob::ticket`] this outcome belongs to.
     pub ticket: u64,
-    /// Index of the worker thread that ran the job.
-    pub worker: usize,
     /// When the worker pulled the job off the source (queue wait is
     /// `picked_at` minus the source's own submit timestamp).
     pub picked_at: Instant,
@@ -280,8 +279,8 @@ pub enum JobError {
         /// was stopped.
         after: Duration,
     },
-    /// The batch was cancelled: either before this job started (it never
-    /// ran) or mid-run (it stopped at the next cooperative check).
+    /// The job's token was cancelled: either before the job started (it
+    /// never ran) or mid-run (it stopped at the next cooperative check).
     Cancelled,
 }
 
@@ -326,8 +325,9 @@ impl From<TraceError> for JobError {
     }
 }
 
-/// Options for [`EvalDriver::run_resilient`]: retry budget, per-job
-/// wall-clock deadline, and an optional cancellation source.
+/// Options for [`EvalDriver::run_resilient`] and
+/// [`EvalDriver::drain_source`]: retry budget and per-job wall-clock
+/// deadline.
 #[derive(Debug, Clone, Default)]
 pub struct ResilientOptions {
     /// Maximum *re*-attempts per job (default 0: the first failure is
@@ -339,16 +339,10 @@ pub struct ResilientOptions {
     /// Per-job wall-clock budget, covering all of the job's attempts.
     /// `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Cancellation source: cancelling any clone of this
-    /// [`CancelToken`] (from any thread, an `on_cell` callback included)
-    /// resolves queued jobs to [`JobError::Cancelled`] without running
-    /// them and stops running jobs at their next cooperative check.
-    /// `None` = not cancellable.
-    pub token: Option<CancelToken>,
 }
 
 impl ResilientOptions {
-    /// Defaults: no retries, no deadline, not cancellable.
+    /// Defaults: no retries, no deadline.
     pub fn new() -> Self {
         ResilientOptions::default()
     }
@@ -376,7 +370,8 @@ pub struct CellOutcome {
     /// [`EvalDriver::run`]/[`run_with_metrics`](EvalDriver::run_with_metrics)
     /// `Point`/`Kernel` jobs cannot fail (only trace jobs can); under
     /// [`run_resilient`](EvalDriver::run_resilient) any job can resolve
-    /// to a deadline, cancellation or (isolated) panic.
+    /// to a deadline or (isolated) panic, and a sourced job with a token
+    /// to a cancellation.
     pub stats: Result<SimStats, JobError>,
     /// Wall-clock time the cell spent on its worker thread (includes
     /// program generation / compiler pass / trace open and every retry
@@ -385,13 +380,11 @@ pub struct CellOutcome {
     pub wall: Duration,
 }
 
-/// Scheduling telemetry of one job within a batch: where it ran and how
-/// long it waited. All durations are measured from the batch's start
-/// instant on the driver's clock.
+/// Scheduling telemetry of one job within a batch: how long it waited and
+/// ran. All durations are measured from the batch's start instant on the
+/// driver's clock.
 #[derive(Debug, Clone)]
 pub struct JobMetrics {
-    /// Index of the worker thread that ran the job.
-    pub worker: usize,
     /// Time from batch start until a worker picked the job up (queue wait).
     pub queued: Duration,
     /// Time the job spent running on its worker (same figure as
@@ -426,29 +419,27 @@ impl BatchMetrics {
 }
 
 /// Degraded-completion summary from [`EvalDriver::run_resilient`]:
-/// per-job attempt counts and fault/retry/cancel counters
-/// ([`virtclust_obs::Counter`]), plus the batch telemetry.
+/// per-job attempt counts and fault/retry counters, plus the batch
+/// telemetry.
 #[derive(Debug)]
 pub struct BatchReport {
-    /// Attempts per job, in job order (0 = cancelled before it started;
-    /// 1 = succeeded or failed on the first attempt; >1 = retried).
+    /// Attempts per job, in job order (1 = succeeded or failed on the
+    /// first attempt; >1 = retried).
     pub attempts: Vec<u32>,
     /// Jobs that produced statistics.
-    pub ok: Counter,
+    pub ok: u64,
     /// Jobs whose final outcome is an error of any kind.
-    pub failed: Counter,
+    pub failed: u64,
     /// Total re-attempts across the batch (Σ max(attempts − 1, 0)).
-    pub retries: Counter,
+    pub retries: u64,
     /// Panics caught across all attempts (retried panics count too).
-    pub panics: Counter,
+    pub panics: u64,
     /// Transient trace errors observed across all attempts (a retried-
     /// then-successful fault still counts — this is the fault counter,
     /// not the failure counter).
-    pub transient_faults: Counter,
-    /// Jobs whose final outcome is [`JobError::Cancelled`].
-    pub cancelled: Counter,
+    pub transient_faults: u64,
     /// Jobs whose final outcome is [`JobError::DeadlineExceeded`].
-    pub deadline_exceeded: Counter,
+    pub deadline_exceeded: u64,
     /// Batch telemetry (per-job spans, worker utilization).
     pub metrics: BatchMetrics,
 }
@@ -457,32 +448,27 @@ impl BatchReport {
     fn build(outcomes: &[CellOutcome], tallies: &[JobTally], metrics: BatchMetrics) -> Self {
         let mut report = BatchReport {
             attempts: tallies.iter().map(|t| t.attempts).collect(),
-            ok: Counter::new(),
-            failed: Counter::new(),
-            retries: Counter::new(),
-            panics: Counter::new(),
-            transient_faults: Counter::new(),
-            cancelled: Counter::new(),
-            deadline_exceeded: Counter::new(),
+            ok: 0,
+            failed: 0,
+            retries: 0,
+            panics: 0,
+            transient_faults: 0,
+            deadline_exceeded: 0,
             metrics,
         };
         for (outcome, tally) in outcomes.iter().zip(tallies) {
             match &outcome.stats {
-                Ok(_) => report.ok.inc(),
+                Ok(_) => report.ok += 1,
                 Err(e) => {
-                    report.failed.inc();
-                    match e {
-                        JobError::Cancelled => report.cancelled.inc(),
-                        JobError::DeadlineExceeded { .. } => report.deadline_exceeded.inc(),
-                        _ => {}
+                    report.failed += 1;
+                    if matches!(e, JobError::DeadlineExceeded { .. }) {
+                        report.deadline_exceeded += 1;
                     }
                 }
             }
-            report
-                .retries
-                .add(u64::from(tally.attempts.saturating_sub(1)));
-            report.panics.add(u64::from(tally.panics));
-            report.transient_faults.add(u64::from(tally.transient));
+            report.retries += u64::from(tally.attempts.saturating_sub(1));
+            report.panics += u64::from(tally.panics);
+            report.transient_faults += u64::from(tally.transient);
         }
         report
     }
@@ -490,18 +476,17 @@ impl BatchReport {
     /// Whether any job's final outcome is an error — the batch completed
     /// degraded rather than fully.
     pub fn degraded(&self) -> bool {
-        self.failed.get() > 0
+        self.failed > 0
     }
 
     /// One-line human-readable completion summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} jobs: {} ok, {} failed ({} cancelled, {} deadline-exceeded); \
+            "{} jobs: {} ok, {} failed ({} deadline-exceeded); \
              {} retries, {} panics caught, {} transient faults",
             self.attempts.len(),
             self.ok,
             self.failed,
-            self.cancelled,
             self.deadline_exceeded,
             self.retries,
             self.panics,
@@ -549,28 +534,17 @@ impl EvalDriver {
 
     /// Run every job to completion, returning outcomes in job order.
     pub fn run(&self, jobs: &[EvalJob]) -> Vec<CellOutcome> {
-        self.run_streaming(jobs, |_, _| {})
+        self.run_with_metrics(jobs, |_, _| {}).0
     }
 
     /// Run every job, invoking `on_cell(index, outcome)` from the worker
-    /// thread as each cell completes (completion order is scheduling-
-    /// dependent; the returned vector is always in job order and its
-    /// statistics are deterministic for any thread count). A panicking
+    /// thread as each cell completes, and return the outcomes in job order
+    /// with the batch telemetry: per-job queue-wait/run spans and worker
+    /// utilization. Completion order is scheduling-dependent; the returned
+    /// statistics are deterministic for any thread count and identical to
+    /// the other entry points (all of them run through here). A panicking
     /// callback does not disturb the batch: every job still runs, and the
     /// first panic is rethrown once after the workers join.
-    pub fn run_streaming(
-        &self,
-        jobs: &[EvalJob],
-        on_cell: impl Fn(usize, &CellOutcome) + Sync,
-    ) -> Vec<CellOutcome> {
-        self.run_with_metrics(jobs, on_cell).0
-    }
-
-    /// [`EvalDriver::run_streaming`] plus batch telemetry: per-job
-    /// queue-wait/run spans, which worker ran each job, and per-worker
-    /// utilization. The simulation outcomes are identical to the other
-    /// entry points (all of them run through here); the spans are the
-    /// pickup and run times the workers record anyway.
     pub fn run_with_metrics(
         &self,
         jobs: &[EvalJob],
@@ -581,10 +555,10 @@ impl EvalDriver {
     }
 
     /// The degraded-completion entry point: run every job under `opts`'s
-    /// retry policy, per-job deadline and cancellation source, and report
-    /// what it took. One panicking/erroring/hung cell costs exactly its
-    /// own outcome — the rest of the batch completes normally, with
-    /// statistics bit-identical to a fault-free run (enforced by test).
+    /// retry policy and per-job deadline, and report what it took. One
+    /// panicking/erroring/hung cell costs exactly its own outcome — the
+    /// rest of the batch completes normally, with statistics
+    /// bit-identical to a fault-free run (enforced by test).
     pub fn run_resilient(
         &self,
         jobs: &[EvalJob],
@@ -619,13 +593,12 @@ impl EvalDriver {
     /// once for its whole life, so there a point's or trace's simulation
     /// becomes a once-per-key cost.
     ///
-    /// Per-job interrupt overrides on the [`SourcedJob`] compose with
-    /// `opts`: a job token replaces the batch token for the run (batch
-    /// cancellation is still honoured before the job starts), and the
-    /// effective deadline is the smaller of the two. `on_done` must not
-    /// panic: a panic there kills its worker and resurfaces when the pool
-    /// joins (the slice entry points wrap their user callback in
-    /// `catch_unwind` for exactly this reason).
+    /// A [`SourcedJob`]'s token is the job's only cancellation source, and
+    /// its deadline composes with `opts`': the effective deadline is the
+    /// smaller of the two. `on_done` must not panic: a panic there kills
+    /// its worker and resurfaces when the pool joins (the slice entry
+    /// points wrap their user callback in `catch_unwind` for exactly this
+    /// reason).
     pub fn drain_source(
         &self,
         source: &(dyn JobSource + '_),
@@ -644,30 +617,25 @@ impl EvalDriver {
         let results = ResultTable::default();
         let results = &results;
         std::thread::scope(|scope| {
-            for w in 0..threads {
+            for _ in 0..threads {
                 scope.spawn(move || {
                     fault::participate(participates);
                     let mut worker = Worker::new(&self.machine, results);
                     while let Some(sourced) = source.pull() {
                         let picked_at = Instant::now();
-                        let token = sourced.token.as_ref().or(opts.token.as_ref());
                         let deadline = match (sourced.deadline, opts.deadline) {
                             (Some(a), Some(b)) => Some(a.min(b)),
                             (a, b) => a.or(b),
                         };
-                        let batch_cancelled =
-                            opts.token.as_ref().is_some_and(CancelToken::is_cancelled);
                         let (outcome, tally) = run_one(
                             &mut worker,
                             sourced.job.as_ref(),
                             opts.retries,
-                            token,
+                            sourced.token.as_ref(),
                             deadline,
-                            batch_cancelled,
                         );
                         on_done(JobDone {
                             ticket: sourced.ticket,
-                            worker: w,
                             picked_at,
                             outcome,
                             tally,
@@ -720,7 +688,6 @@ impl EvalDriver {
                     first.get_or_insert(p);
                 }
                 let metrics = JobMetrics {
-                    worker: done.worker,
                     queued: done.picked_at.saturating_duration_since(t0),
                     run: done.outcome.wall,
                 };
@@ -760,7 +727,6 @@ impl EvalDriver {
                         wall: Duration::ZERO,
                     },
                     JobMetrics {
-                        worker: 0,
                         queued: Duration::ZERO,
                         run: Duration::ZERO,
                     },
@@ -784,23 +750,20 @@ impl EvalDriver {
 }
 
 /// Run one job to its final outcome: the attempt/retry loop, with panic
-/// isolation and quarantine around every attempt. `token` and `deadline`
-/// are the *effective* interrupt sources (batch options composed with any
-/// per-job overrides by [`EvalDriver::drain_source`]); `batch_cancelled`
-/// short-circuits a job whose batch was cancelled even when the job
-/// carries its own (un-cancelled) token.
+/// isolation and quarantine around every attempt. `token` is the job's
+/// own, and `deadline` the effective budget ([`EvalDriver::drain_source`]
+/// composes the job's with the options').
 fn run_one(
     worker: &mut Worker<'_>,
     job: &EvalJob,
     retries: u32,
     token: Option<&CancelToken>,
     deadline: Option<Duration>,
-    batch_cancelled: bool,
 ) -> (CellOutcome, JobTally) {
     let mut tally = JobTally::default();
-    // Batch already cancelled (or the job's own token was cancelled while
-    // it queued): resolve without running (attempts = 0).
-    if batch_cancelled || token.is_some_and(CancelToken::is_cancelled) {
+    // The job's token was cancelled while it queued: resolve without
+    // running (attempts = 0).
+    if token.is_some_and(CancelToken::is_cancelled) {
         return (
             CellOutcome {
                 stats: Err(JobError::Cancelled),
@@ -1480,12 +1443,13 @@ mod tests {
             })
             .collect();
         let seen = std::sync::Mutex::new(vec![0u32; jobs.len()]);
-        let outcomes = EvalDriver::new(&machine)
-            .threads(2)
-            .run_streaming(&jobs, |i, outcome| {
-                assert!(outcome.stats.is_ok());
-                seen.lock().unwrap()[i] += 1;
-            });
+        let (outcomes, _) =
+            EvalDriver::new(&machine)
+                .threads(2)
+                .run_with_metrics(&jobs, |i, outcome| {
+                    assert!(outcome.stats.is_ok());
+                    seen.lock().unwrap()[i] += 1;
+                });
         assert_eq!(outcomes.len(), jobs.len());
         assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
     }
@@ -1510,9 +1474,6 @@ mod tests {
 
         assert_eq!(metrics.workers, 2);
         assert_eq!(metrics.jobs.len(), jobs.len());
-        for m in &metrics.jobs {
-            assert!(m.worker < metrics.workers);
-        }
         let u = metrics.utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
     }
@@ -1563,8 +1524,8 @@ mod tests {
             |_, _| {},
         );
         assert!(outcomes.iter().all(|o| o.stats.is_err()), "chaos fails all");
-        assert_eq!(report.ok.get(), 0);
-        assert_eq!(report.failed.get(), jobs.len() as u64);
+        assert_eq!(report.ok, 0);
+        assert_eq!(report.failed, jobs.len() as u64);
         let u = report.metrics.utilization();
         assert!(u.is_finite() && (0.0..=1.0).contains(&u));
         assert!(report.summary().contains("0 ok"));
@@ -1605,10 +1566,10 @@ mod tests {
                 "job {i} must be bit-identical despite job 1 panicking"
             );
         }
-        assert_eq!(report.ok.get(), jobs.len() as u64 - 1);
-        assert_eq!(report.failed.get(), 1);
-        assert_eq!(report.panics.get(), 1);
-        assert_eq!(report.retries.get(), 0);
+        assert_eq!(report.ok, jobs.len() as u64 - 1);
+        assert_eq!(report.failed, 1);
+        assert_eq!(report.panics, 1);
+        assert_eq!(report.retries, 0);
         assert!(report.degraded());
         assert!(
             report.summary().contains("1 failed"),
@@ -1641,8 +1602,8 @@ mod tests {
             "the retried success must match the fault-free run bit for bit"
         );
         assert_eq!(report.attempts, vec![2]);
-        assert_eq!(report.retries.get(), 1);
-        assert_eq!(report.transient_faults.get(), 1);
+        assert_eq!(report.retries, 1);
+        assert_eq!(report.transient_faults, 1);
         assert!(!report.degraded());
         std::fs::remove_file(&path).ok();
     }
@@ -1672,7 +1633,7 @@ mod tests {
             other => panic!("expected a permanent trace error, got {other:?}"),
         }
         assert_eq!(report.attempts, vec![1], "permanent errors retry nothing");
-        assert_eq!(report.retries.get(), 0);
+        assert_eq!(report.retries, 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1700,8 +1661,8 @@ mod tests {
         );
         assert!(matches!(&outcomes[0].stats, Err(JobError::Trace(_))));
         assert_eq!(report.attempts, vec![3], "1 initial + 2 retries");
-        assert_eq!(report.retries.get(), 2);
-        assert_eq!(report.transient_faults.get(), 3);
+        assert_eq!(report.retries, 2);
+        assert_eq!(report.transient_faults, 3);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1767,8 +1728,8 @@ mod tests {
         // reset session: bit-identical to a fresh fault-free run.
         let clean = run_point(&small, &Configuration::Op, &machine, 300);
         assert_eq!(outcomes[1].stats.as_ref().unwrap(), &clean);
-        assert_eq!(report.deadline_exceeded.get(), 1);
-        assert_eq!(report.ok.get(), 1);
+        assert_eq!(report.deadline_exceeded, 1);
+        assert_eq!(report.ok, 1);
     }
 
     #[test]
@@ -1806,7 +1767,7 @@ mod tests {
             }
             other => panic!("expected a deadline outcome, got {other:?}"),
         }
-        assert_eq!(report.deadline_exceeded.get(), 1);
+        assert_eq!(report.deadline_exceeded, 1);
     }
 
     #[test]
@@ -1910,39 +1871,63 @@ mod tests {
 
     #[test]
     fn cancelling_from_the_callback_resolves_queued_jobs_without_running_them() {
+        // Every job carries one shared token, cancelled by the sink as the
+        // first job completes: the rest were still queued.
         let machine = MachineConfig::paper_2cluster();
-        let jobs: Vec<EvalJob> = (0..6)
-            .map(|_| EvalJob::Point {
-                point: point("gzip-1"),
-                config: Configuration::Op,
-                uops: 400,
-            })
-            .collect();
-        let token = CancelToken::new();
-        let opts = ResilientOptions {
-            token: Some(token.clone()),
-            ..ResilientOptions::new()
+        let job = EvalJob::Point {
+            point: point("gzip-1"),
+            config: Configuration::Op,
+            uops: 400,
         };
-        let (outcomes, report) =
-            EvalDriver::new(&machine)
-                .threads(1)
-                .run_resilient(&jobs, &opts, |_, _| token.cancel());
-        assert!(outcomes[0].stats.is_ok(), "the first job had already run");
-        for (i, o) in outcomes.iter().enumerate().skip(1) {
+        const JOBS: usize = 6;
+        struct Shared<'a> {
+            job: &'a EvalJob,
+            token: &'a CancelToken,
+            next: AtomicUsize,
+        }
+        impl JobSource for Shared<'_> {
+            fn pull(&self) -> Option<SourcedJob<'_>> {
+                let i = self.next.fetch_add(1, Ordering::Relaxed);
+                (i < JOBS).then(|| SourcedJob {
+                    token: Some(self.token.clone()),
+                    ..SourcedJob::new(i as u64, Cow::Borrowed(self.job))
+                })
+            }
+        }
+        let token = CancelToken::new();
+        let source = Shared {
+            job: &job,
+            token: &token,
+            next: AtomicUsize::new(0),
+        };
+        let done: Mutex<Vec<Option<(CellOutcome, JobTally)>>> =
+            Mutex::new((0..JOBS).map(|_| None).collect());
+        EvalDriver::new(&machine).threads(1).drain_source(
+            &source,
+            &ResilientOptions::new(),
+            &|d: JobDone| {
+                token.cancel();
+                let slot = &mut done.lock().unwrap()[d.ticket as usize];
+                assert!(slot.is_none(), "job {} delivered twice", d.ticket);
+                *slot = Some((d.outcome, d.tally));
+            },
+        );
+        let done: Vec<(CellOutcome, JobTally)> = done
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .map(|d| d.expect("every job is accounted"))
+            .collect();
+        assert!(done[0].0.stats.is_ok(), "the first job had already run");
+        assert_eq!(done[0].1.attempts, 1);
+        for (i, (outcome, tally)) in done.iter().enumerate().skip(1) {
             assert!(
-                matches!(o.stats, Err(JobError::Cancelled)),
+                matches!(outcome.stats, Err(JobError::Cancelled)),
                 "job {i} was queued at cancellation"
             );
-            assert_eq!(o.wall, Duration::ZERO, "job {i} never ran");
-            assert_eq!(report.attempts[i], 0);
+            assert_eq!(outcome.wall, Duration::ZERO, "job {i} never ran");
+            assert_eq!(tally.attempts, 0);
         }
-        assert_eq!(report.cancelled.get(), 5);
-        assert_eq!(report.ok.get(), 1);
-        assert_eq!(
-            report.attempts.len(),
-            jobs.len(),
-            "every job is accounted exactly once"
-        );
     }
 
     #[test]
@@ -1961,7 +1946,7 @@ mod tests {
         let result = catch_unwind(AssertUnwindSafe(|| {
             EvalDriver::new(&machine)
                 .threads(2)
-                .run_streaming(&jobs, |_, _| {
+                .run_with_metrics(&jobs, |_, _| {
                     calls.fetch_add(1, Ordering::SeqCst);
                     panic!("callback exploded");
                 })

@@ -8,8 +8,8 @@
 //!
 //! - [`ObsSink`]: the observer trait, generic over the delta payload so the
 //!   simulator can emit full-stats deltas without this crate depending on it.
-//! - [`metrics`]: counters and log2-bucket histograms for latency/length
-//!   distributions (job latency, skip-span length).
+//! - [`metrics`]: log2-bucket histograms for latency/length distributions
+//!   (job latency, queue wait, skip-span length).
 //! - [`chrome`]: a Chrome-trace-event JSON builder whose output loads in
 //!   `chrome://tracing` and Perfetto.
 //!
@@ -25,5 +25,5 @@ pub mod metrics;
 pub mod sink;
 
 pub use chrome::ChromeTrace;
-pub use metrics::{Counter, Gauge, Log2Hist, SharedCounter};
+pub use metrics::Log2Hist;
 pub use sink::{IntervalSample, MemSink, ObsSink, Shared, SkipSpan};

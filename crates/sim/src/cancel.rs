@@ -13,15 +13,14 @@
 //! the run loop exits, never what any cycle computes.
 //!
 //! The batch engine (`virtclust-core`) builds per-job deadlines and
-//! batch-level cancellation on top: a cancelled batch resolves queued jobs
-//! without running them and stops running jobs at their next check, and the
-//! interrupted session [`reset`](crate::SimSession::reset)s cleanly for
+//! cancellation on top: a job whose token is cancelled before it starts
+//! resolves without running, a running job stops at its next check, and
+//! the interrupted session [`reset`](crate::SimSession::reset)s cleanly for
 //! subsequent jobs — an interrupted run leaves the session dirty exactly
 //! like a completed one does.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How many simulated cycles pass between interrupt checks in the run
@@ -53,73 +52,6 @@ impl CancelToken {
     /// Whether cancellation has been requested. One relaxed atomic load.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
-    }
-}
-
-/// Per-client cancellation fan-out: a labelled set of [`CancelToken`]s,
-/// one per client id, so a service front end can cancel one client's
-/// in-flight and queued jobs without touching anyone else's. Tokens are
-/// created on first use and stay registered (sticky, like the token
-/// itself) until [`remove`](CancelGroup::remove)d; `cancel_all` sweeps
-/// every registered client, e.g. on server shutdown.
-#[derive(Debug, Default)]
-pub struct CancelGroup {
-    clients: Mutex<HashMap<u64, CancelToken>>,
-}
-
-impl CancelGroup {
-    /// An empty group.
-    pub fn new() -> Self {
-        CancelGroup::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, CancelToken>> {
-        // A poisoned map is still structurally sound: tokens are atomics
-        // and insertion is a single HashMap op.
-        self.clients.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The token for `client`, created un-cancelled on first use. Clones
-    /// share the flag, so handing this to a job and later calling
-    /// [`cancel`](CancelGroup::cancel) stops that job cooperatively.
-    pub fn token(&self, client: u64) -> CancelToken {
-        self.lock().entry(client).or_default().clone()
-    }
-
-    /// Cancel one client's token. Returns `false` if the client never
-    /// registered (nothing to cancel).
-    pub fn cancel(&self, client: u64) -> bool {
-        match self.lock().get(&client) {
-            Some(token) => {
-                token.cancel();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Cancel every registered client (e.g. server shutdown).
-    pub fn cancel_all(&self) {
-        for token in self.lock().values() {
-            token.cancel();
-        }
-    }
-
-    /// Drop a client's registration. Outstanding clones of its token keep
-    /// working; a later [`token`](CancelGroup::token) call for the same id
-    /// starts a fresh, un-cancelled flag.
-    pub fn remove(&self, client: u64) {
-        self.lock().remove(&client);
-    }
-
-    /// Number of registered clients.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether no client has registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -256,23 +188,6 @@ mod tests {
         // one cycle at a time so poll() can fire.
         assert_eq!(st.max_skip(CHECK_INTERVAL_CYCLES), 1);
         assert_eq!(st.max_skip(CHECK_INTERVAL_CYCLES * 10), 1);
-    }
-
-    #[test]
-    fn cancel_group_isolates_clients() {
-        let group = CancelGroup::new();
-        let a = group.token(1);
-        let b = group.token(2);
-        assert_eq!(group.len(), 2);
-        assert!(group.cancel(1));
-        assert!(a.is_cancelled());
-        assert!(!b.is_cancelled(), "other clients are untouched");
-        assert!(!group.cancel(99), "unknown client is a no-op");
-        group.cancel_all();
-        assert!(b.is_cancelled());
-        // A removed client restarts from a fresh flag.
-        group.remove(2);
-        assert!(!group.token(2).is_cancelled());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod steering;
 pub mod value;
 
 pub use cache::{Cache, LoadPath, MemorySystem};
-pub use cancel::{CancelGroup, CancelToken, StopCause};
+pub use cancel::{CancelToken, StopCause};
 pub use lsq::{LoadCheck, Lsq};
 pub use predictor::{LocalHistory, TraceCache};
 pub use queues::{CopyOp, CopySlab, IssueQueue, LinkArbiter};

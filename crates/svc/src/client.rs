@@ -6,15 +6,16 @@
 //! immediately, a [`ServerMsg::Result`] per job as it completes). For
 //! open-loop load generation [`Client::split`] clones the stream into an
 //! independently owned sender and receiver so submission never waits on
-//! result draining.
+//! result draining. Replies are read through a buffer, so a small frame
+//! costs no more than one read.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use virtclust_trace::frame::{read_frame, MAX_FRAME_LEN};
-use virtclust_trace::{Result as TraceResult, TraceError};
+use virtclust_trace::Result as TraceResult;
 
 use crate::wire::{
     decode_server, encode_client, recv_preamble, send_preamble, ClientMsg, ServerMsg, Submit,
@@ -76,15 +77,19 @@ impl Write for Stream {
 
 /// A blocking service client.
 pub struct Client {
+    /// Requests go out on the socket itself, one write per frame.
     stream: Stream,
+    /// Replies come in through a buffer over a clone of the socket.
+    replies: BufReader<Stream>,
 }
 
 impl Client {
     fn handshake(mut stream: Stream) -> TraceResult<Client> {
         send_preamble(&mut stream)?;
         stream.flush()?;
-        recv_preamble(&mut stream)?;
-        Ok(Client { stream })
+        let mut replies = BufReader::new(stream.try_clone()?);
+        recv_preamble(&mut replies)?;
+        Ok(Client { stream, replies })
     }
 
     /// Connect over a Unix domain socket.
@@ -133,7 +138,7 @@ impl Client {
     /// compat).
     pub fn recv(&mut self) -> TraceResult<Option<ServerMsg>> {
         loop {
-            let Some((msg_type, body)) = read_frame(&mut self.stream, MAX_FRAME_LEN)? else {
+            let Some((msg_type, body)) = read_frame(&mut self.replies, MAX_FRAME_LEN)? else {
                 return Ok(None);
             };
             if let Some(m) = decode_server(msg_type, &body)? {
@@ -143,12 +148,18 @@ impl Client {
     }
 
     /// Split into an independently owned sender and receiver over the
-    /// same connection, so results can drain while jobs keep flowing.
+    /// same connection, so results can drain while jobs keep flowing. The
+    /// receiver takes the reply buffer, with whatever it already holds.
     pub fn split(self) -> TraceResult<(Client, Client)> {
-        let reader = Client {
-            stream: self.stream.try_clone().map_err(TraceError::from)?,
+        let sender = Client {
+            replies: BufReader::new(self.stream.try_clone()?),
+            stream: self.stream.try_clone()?,
         };
-        Ok((self, reader))
+        let receiver = Client {
+            stream: self.stream,
+            replies: self.replies,
+        };
+        Ok((sender, receiver))
     }
 
     /// Convenience: block until the next [`ServerMsg::Result`] frame,

@@ -13,19 +13,22 @@
 //!   resolved server-side, and per-cell results summarised as key
 //!   figures + an FNV digest of the full statistics for bit-identity
 //!   verification;
-//! * [`sched`] — the job queue the engine's workers pull from: three
-//!   strict priority levels, round-robin across clients within a level,
-//!   per-client quotas and a service-wide cap (both bounce `Busy`
-//!   instead of buffering), queue-wait histograms per priority, and
-//!   per-client cancellation fan-out through a
-//!   [`CancelGroup`](virtclust_sim::CancelGroup);
+//! * [`sched`] — the job queue the engine's workers pull from, and the
+//!   one owner of each job's books from admission to result: three strict
+//!   priority levels, round-robin across clients within a level,
+//!   per-client quotas and a service-wide cap (both bounce `Busy` instead
+//!   of buffering), and under one lock each job's result route and
+//!   submitter's cancellation token, the running set, the service
+//!   counters and the queue-wait histograms per priority, so a `Stats`
+//!   snapshot adds up;
 //! * [`server`] — glues them together:
 //!   [`ServerBuilder`] → [`Server`] →
 //!   [`serve_unix`](Server::serve_unix)/[`serve_tcp`](Server::serve_tcp);
 //!   results stream back to each submitter as jobs complete. Sockets use
 //!   blocking `std` I/O: an acceptor thread, and per connection a reader
-//!   thread that feeds the scheduler and a writer thread that drains a
-//!   bounded outbox the workers append to;
+//!   thread that feeds the scheduler and owns the connection's
+//!   cancellation token, and a writer thread that drains a bounded outbox
+//!   the workers append to;
 //! * [`client`] — the blocking socket [`Client`] (`loadgen`'s side).
 //!
 //! Determinism carries through end to end: a job's statistics depend

@@ -16,12 +16,20 @@
 //!   outbox is full, which pushes back on a client that does not read;
 //! * **a writer per connection** — drains the outbox to the socket.
 //!
-//! Result routing is by ticket: the scheduler's global ticket is
-//! [`reserve`](Scheduler::reserve)d and mapped to the submitting
-//! connection's outbox *before* the job is admitted, so a worker
-//! completing the job instantly can never race the registration. The reader holds the
-//! outbox across admission, so a ticket's `Accepted` or `Busy` always
-//! precedes its `Result`.
+//! A job's result route (the submitting connection's outbox and the
+//! client's own ticket) rides with the job in the [`Scheduler`], which
+//! hands it back when a worker finishes the job or when a drain cancels
+//! it. The reader holds the outbox across admission, so a ticket's
+//! `Accepted` or `Busy` always precedes its `Result`. Nobody posts to an
+//! outbox while holding the scheduler's lock.
+//!
+//! Each connection's reader owns one [`CancelToken`], which every job it
+//! submits clones. `CancelAll` cancels that token, replaces it with a
+//! fresh one and drains the connection's queued jobs; a hang-up cancels
+//! and drains the same way. Since a connection's submits and its
+//! `CancelAll` run in order on its reader, every job submitted before the
+//! `CancelAll` carries the cancelled token, wherever it is, and none
+//! submitted after it does.
 //!
 //! Once the pool has drained after a shutdown, every outbox is flushed
 //! and its socket shut down, so clients see EOF on their own;
@@ -38,17 +46,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle, Scope};
 use std::time::Duration;
 
-use virtclust_core::{EvalDriver, EvalJob, JobDone, ResilientOptions};
-use virtclust_sim::SimStats;
+use virtclust_core::{EvalDriver, JobDone, ResilientOptions};
+use virtclust_sim::{CancelToken, SimStats};
 use virtclust_trace::frame::read_frame;
 use virtclust_uarch::MachineConfig;
 
 use crate::client::Stream;
-use crate::sched::{Drained, SchedConfig, Scheduler};
+use crate::sched::{SchedConfig, Scheduler};
 use crate::wire::{
     decode_client, encode_server, recv_preamble, resolve_spec, send_preamble, stats_digest,
-    BusyReason, ClientMsg, Priority, ServerMsg, Submit, SvcStats, WireResult, WireStats,
-    MAX_CLIENT_FRAME_LEN,
+    ClientMsg, ServerMsg, Submit, SvcStats, WireResult, WireStats, MAX_CLIENT_FRAME_LEN,
 };
 
 /// What a cancelled-before-start job reports as its error.
@@ -169,12 +176,19 @@ impl Route {
         };
         self.outbox.post(|| ServerMsg::Result(result));
     }
+
+    /// Report jobs drained before they started (by `CancelAll`, a
+    /// hang-up or shutdown) cancelled.
+    fn cancelled(routes: Vec<Route>) {
+        for route in routes {
+            route.deliver(Duration::ZERO, Err(CANCELLED_BEFORE_START.into()));
+        }
+    }
 }
 
 /// Shared server state.
 struct SvcInner {
-    sched: Scheduler,
-    routes: Mutex<HashMap<u64, Route>>,
+    sched: Scheduler<Route>,
     /// Live socket connections' outboxes by client id; `None` once the
     /// pool has drained and every connection was told to close.
     conns: Mutex<Option<HashMap<u64, Arc<Outbox>>>>,
@@ -183,42 +197,19 @@ struct SvcInner {
 }
 
 impl SvcInner {
-    fn lock_routes(&self) -> MutexGuard<'_, HashMap<u64, Route>> {
-        self.routes.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn lock_conns(&self) -> MutexGuard<'_, Option<HashMap<u64, Arc<Outbox>>>> {
         self.conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The completion sink handed to `drain_source` — must not panic.
+    /// `finish` releases the scheduler's lock before the delivery takes
+    /// the outbox's.
     fn complete(&self, done: JobDone) {
-        self.sched.counters.inflight.dec();
-        self.sched.counters.completed.inc();
-        let Some(route) = self.lock_routes().remove(&done.ticket) else {
-            return;
-        };
-        route.deliver(
-            done.outcome.wall,
-            done.outcome.stats.map_err(|e| e.to_string()),
-        );
-    }
-
-    /// Report jobs that were cancelled before they started (queue drains
-    /// from `CancelAll`, client disconnect, or shutdown).
-    fn report_drained(&self, drained: Vec<Drained>) {
-        self.sched.counters.completed.add(drained.len() as u64);
-        // Out of the map before delivering: a reader holds its outbox
-        // while it takes the routes lock to admit a job.
-        let routes: Vec<Route> = {
-            let mut map = self.lock_routes();
-            drained
-                .iter()
-                .filter_map(|d| map.remove(&d.global))
-                .collect()
-        };
-        for route in routes {
-            route.deliver(Duration::ZERO, Err(CANCELLED_BEFORE_START.into()));
+        if let Some(route) = self.sched.finish(done.ticket) {
+            route.deliver(
+                done.outcome.wall,
+                done.outcome.stats.map_err(|e| e.to_string()),
+            );
         }
     }
 
@@ -227,8 +218,7 @@ impl SvcInner {
     /// [`close_conns`](SvcInner::close_conns) cannot overtake a report.
     fn shutdown(&self) {
         let _conns = self.lock_conns();
-        let drained = self.sched.shutdown();
-        self.report_drained(drained);
+        Route::cancelled(self.sched.shutdown());
     }
 
     /// The pool has drained: flush and close every connection, and turn
@@ -241,38 +231,16 @@ impl SvcInner {
         }
     }
 
-    /// Retire connection `id`: forget it, stop its writer, and cancel
-    /// what it left queued or running (a vanished client implicitly
+    /// Retire connection `id`: forget it, stop its writer, and drain
+    /// what it left queued. What it left running was stopped by the
+    /// cancelled token of its reader (a vanished client implicitly
     /// cancels its outstanding work).
     fn hang_up(&self, id: u64, outbox: &Outbox) {
         if let Some(live) = self.lock_conns().as_mut() {
             live.remove(&id);
         }
         outbox.kill();
-        let drained = self.sched.cancel_client(id);
-        self.report_drained(drained);
-    }
-
-    /// Register the result route, then admit the job for connection
-    /// `client`.
-    fn submit_routed(
-        &self,
-        client: u64,
-        outbox: Arc<Outbox>,
-        ticket: u64,
-        job: EvalJob,
-        priority: Priority,
-        deadline: Option<Duration>,
-    ) -> Result<(), BusyReason> {
-        let global = self.sched.reserve();
-        self.lock_routes().insert(global, Route { outbox, ticket });
-        match self.sched.submit(client, global, job, priority, deadline) {
-            Ok(()) => Ok(()),
-            Err(reason) => {
-                self.lock_routes().remove(&global);
-                Err(reason)
-            }
-        }
+        Route::cancelled(self.sched.cancel_client(id));
     }
 }
 
@@ -316,8 +284,8 @@ impl ServerBuilder {
         self
     }
 
-    /// Batch-engine options every job runs under (retries, batch-level
-    /// deadline; a per-job token/deadline from the wire still composes).
+    /// Batch-engine options every job runs under: retries, and a per-job
+    /// deadline that composes with one from the wire.
     #[must_use]
     pub fn options(mut self, opts: ResilientOptions) -> Self {
         self.opts = opts;
@@ -328,7 +296,6 @@ impl ServerBuilder {
     pub fn start(self) -> Server {
         let inner = Arc::new(SvcInner {
             sched: Scheduler::new(self.sched),
-            routes: Mutex::new(HashMap::new()),
             conns: Mutex::new(Some(HashMap::new())),
             next_client: AtomicU64::new(1),
         });
@@ -566,9 +533,12 @@ fn write_loop(outbox: &Outbox, mut stream: Stream) {
 }
 
 /// A connection's reader: take requests until the client hangs up,
-/// breaks the protocol or the connection dies, then retire it.
+/// breaks the protocol or the connection dies, then cancel its jobs and
+/// retire it.
 fn read_loop(inner: &SvcInner, id: u64, outbox: Arc<Outbox>, stream: Stream) {
     let mut from_client = BufReader::new(stream);
+    // Every job this connection submits clones it.
+    let mut token = CancelToken::new();
     if recv_preamble(&mut from_client).is_ok() {
         while outbox.wait_for_room() {
             // EOF, a broken frame or a dead socket all end the connection.
@@ -577,7 +547,7 @@ fn read_loop(inner: &SvcInner, id: u64, outbox: Arc<Outbox>, stream: Stream) {
                 break;
             };
             match decode_client(msg_type, &body) {
-                Ok(Some(msg)) => dispatch(inner, id, &outbox, msg),
+                Ok(Some(msg)) => dispatch(inner, id, &outbox, &mut token, msg),
                 // Unknown type: consumed and skipped (forward compat).
                 Ok(None) => {}
                 Err(_) => break,
@@ -586,11 +556,19 @@ fn read_loop(inner: &SvcInner, id: u64, outbox: Arc<Outbox>, stream: Stream) {
     }
     // Fails a write stalled on this client at once, not after WRITE_STALL.
     from_client.get_ref().shutdown();
+    token.cancel();
     inner.hang_up(id, &outbox);
 }
 
-/// Handle one decoded request from connection `id`.
-fn dispatch(inner: &SvcInner, id: u64, outbox: &Arc<Outbox>, msg: ClientMsg) {
+/// Handle one decoded request from connection `id`, whose jobs clone
+/// `token`.
+fn dispatch(
+    inner: &SvcInner,
+    id: u64,
+    outbox: &Arc<Outbox>,
+    token: &mut CancelToken,
+    msg: ClientMsg,
+) {
     match msg {
         ClientMsg::Submit(Submit {
             ticket,
@@ -600,10 +578,16 @@ fn dispatch(inner: &SvcInner, id: u64, outbox: &Arc<Outbox>, msg: ClientMsg) {
         }) => match resolve_spec(&spec) {
             Ok(job) => {
                 let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-                let route = Arc::clone(outbox);
+                let route = Route {
+                    outbox: Arc::clone(outbox),
+                    ticket,
+                };
                 outbox.post(|| {
-                    match inner.submit_routed(id, route, ticket, job, priority, deadline) {
-                        Ok(()) => ServerMsg::Accepted { ticket },
+                    match inner
+                        .sched
+                        .submit(id, job, priority, deadline, token.clone(), route)
+                    {
+                        Ok(_) => ServerMsg::Accepted { ticket },
                         Err(reason) => ServerMsg::Busy { ticket, reason },
                     }
                 });
@@ -619,8 +603,9 @@ fn dispatch(inner: &SvcInner, id: u64, outbox: &Arc<Outbox>, msg: ClientMsg) {
             }),
         },
         ClientMsg::CancelAll => {
-            let drained = inner.sched.cancel_client(id);
-            inner.report_drained(drained);
+            token.cancel();
+            *token = CancelToken::new();
+            Route::cancelled(inner.sched.cancel_client(id));
         }
         ClientMsg::GetStats => outbox.post(|| ServerMsg::Stats(inner.sched.stats())),
         ClientMsg::Shutdown => inner.shutdown(),

@@ -227,6 +227,32 @@ fn cancel_all_reports_queued_jobs_cancelled() {
     server.join().unwrap();
 }
 
+#[test]
+fn cancel_all_cancels_a_job_a_worker_just_dequeued() {
+    // One worker, idle at each submit, so the CancelAll lands while the
+    // job is queued, being dequeued or running. Each round's budget is a
+    // new key (no result-table hit), and a run to completion would take
+    // seconds: every result must be a cancellation.
+    let builder = ServerBuilder::new(&MachineConfig::paper_2cluster()).threads(1);
+    let (server, sock) = unix_server("cancel-race", builder);
+    let mut client = Client::connect_unix(&sock).unwrap();
+    for round in 0..1_000 {
+        client
+            .submit(&normal(round, &op_point("mcf", 5_000_000 + round)))
+            .unwrap();
+        client.cancel_all().unwrap();
+        let r = client.recv_result(accepted).unwrap().expect("server alive");
+        assert_eq!(r.ticket, round);
+        match r.outcome {
+            Err(e) if e == CANCELLED_BEFORE_START || e == "job cancelled" => {}
+            other => panic!("round {round} was not cancelled: {other:?}"),
+        }
+    }
+    server.shutdown();
+    let stats = server.join().unwrap();
+    assert_eq!((stats.accepted, stats.completed), (1_000, 1_000));
+}
+
 /// Submit a kernel job naming `kernel`, then `Shutdown`, to a fresh daemon
 /// over a raw connection, and return the error of the job's `Result`. The
 /// connection has a read timeout, so a daemon that never answers fails the

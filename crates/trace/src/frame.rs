@@ -80,7 +80,8 @@ pub fn read_preamble<R: Read>(r: &mut R, magic: &[u8; 4], supported: u8) -> Resu
 }
 
 /// Write one frame: varint length prefix (covering the type byte), the
-/// message type, the body.
+/// message type, the body. The frame is assembled first and leaves in one
+/// `write_all`, so an unbuffered socket sees one write per frame.
 pub fn write_frame<W: Write>(w: &mut W, msg_type: u8, body: &[u8]) -> Result<()> {
     let len = 1 + body.len() as u64;
     if len > MAX_FRAME_LEN {
@@ -88,9 +89,12 @@ pub fn write_frame<W: Write>(w: &mut W, msg_type: u8, body: &[u8]) -> Result<()>
             "frame of {len} bytes exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"
         )));
     }
-    write_varint(w, len)?;
-    w.write_all(&[msg_type])?;
-    w.write_all(body)?;
+    // A varint of a length up to MAX_FRAME_LEN takes at most 4 bytes.
+    let mut frame = Vec::with_capacity(body.len() + 5);
+    put_u64(&mut frame, len);
+    frame.push(msg_type);
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     Ok(())
 }
 
@@ -196,6 +200,38 @@ mod tests {
         assert_eq!(read(&mut r).unwrap(), Some((7, b"hello".to_vec())));
         assert_eq!(read(&mut r).unwrap(), None);
         assert_eq!(read(&mut r).unwrap(), None, "EOF is sticky");
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        /// Counts `write` calls and keeps the bytes.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for body_len in [0, 10, 200, 70_000] {
+            let body = vec![0xA5; body_len];
+            let mut w = Counting::default();
+            write_frame(&mut w, 9, &body).unwrap();
+            assert_eq!(w.writes, 1, "a {body_len}-byte body");
+            // The same bytes as a length prefix, the type, the body.
+            let mut expected = Vec::new();
+            put_u64(&mut expected, 1 + body_len as u64);
+            expected.push(9);
+            expected.extend_from_slice(&body);
+            assert_eq!(w.bytes, expected);
+        }
     }
 
     #[test]
